@@ -1,7 +1,7 @@
-// Benchmarks for the extension experiments (DESIGN.md second wave): the
-// Theorem 24 lower bound, partial cover, the lollipop worst case, the extra
-// Theorem 4 families, churn robustness, coverage profiles and the network
-// search trade-off.
+// Benchmarks for the extension experiments (the second wave of the
+// harness.Experiments catalog): the Theorem 24 lower bound, partial cover,
+// the lollipop worst case, the extra Theorem 4 families, churn robustness,
+// coverage profiles and the network search trade-off.
 package manywalks_test
 
 import (

@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper, as indexed in DESIGN.md. Each benchmark runs the corresponding
-// harness experiment end to end and reports the headline quantities as
-// custom benchmark metrics (speedup, cover-rounds, bound margins), so
+// paper, as catalogued by harness.Experiments (plus Table 1). Each
+// benchmark runs the corresponding harness experiment end to end and
+// reports the headline quantities as custom benchmark metrics (speedup,
+// cover-rounds, bound margins), so
 //
 //	go test -bench=. -benchmem
 //
@@ -155,12 +156,12 @@ func BenchmarkKernelSweep(b *testing.B) {
 	runReport(b, harness.RunKernelSpeedupSweep)
 }
 
-// Engine micro-benchmarks: raw stepping and cover throughput through the
+// Engine micro-benchmarks: cover and hit throughput through the
 // public API, for performance tracking rather than paper reproduction.
 
 // BenchmarkEngineKCover64 samples C^64 on the Table-1 expander through the
-// public batched-engine API; compare with BenchmarkKCoverLegacy/
-// BenchmarkKCoverEngine in internal/walk for the engine-vs-legacy numbers.
+// public batched-engine API; BenchmarkKCoverEngine in internal/walk runs
+// the same workload on the paper's graph families.
 func BenchmarkEngineKCover64(b *testing.B) {
 	g := manywalks.NewMargulisExpander(24)
 	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
@@ -191,15 +192,6 @@ func BenchmarkEngineKHit64(b *testing.B) {
 		if !eng.KHit(starts, marked, uint64(i), 1<<20).Hit {
 			b.Fatal("no hit")
 		}
-	}
-}
-
-func BenchmarkWalkerSteps(b *testing.B) {
-	g := manywalks.NewTorus2D(64)
-	w := manywalks.NewWalker(g, 0, manywalks.NewRand(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step()
 	}
 }
 

@@ -2,7 +2,7 @@
 // it spins up an in-process serve.Server, points many concurrent clients at
 // it with same-shape hitting-time walk queries, and measures served
 // queries/sec under the two dispatch modes — coalesced (requests folded
-// into grouped engine passes) and naive (one Engine.Run per request) — then
+// into grouped engine passes) and naive (one pass per request) — then
 // verifies every pair of answers is bit-for-bit equal.
 //
 // The default shape is the acceptance workload: 256 concurrent clients
@@ -549,7 +549,7 @@ func run(args []string, out io.Writer) error {
 		if naive, err = runMode(true); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "naive      %6d queries in %12v  -> %8.0f q/s   %s   (per-request Engine.Run)\n",
+		fmt.Fprintf(out, "naive      %6d queries in %12v  -> %8.0f q/s   %s   (one pass per request)\n",
 			total, naive.elapsed.Round(time.Millisecond), naive.qps(), latencyLine(naive.latencies))
 	}
 	if *mode == "coalesced" || *mode == "both" {

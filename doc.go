@@ -30,13 +30,14 @@
 //
 // The hot path under every estimate is Engine, a batched simulator of the
 // paper's synchronized k-walk. Instead of advancing one pointer-chasing
-// Walker at a time, the engine keeps walker positions in a flat []int32,
+// walker at a time, the engine keeps walker positions in a flat []int32,
 // gives walker i the deterministic RNG stream (seed, i), and advances the
 // whole array in vectorized rounds over the graph's CSR adjacency —
 // sharded across a worker pool and synchronized at batch barriers. Results
 // are bit-for-bit reproducible: for a fixed (graph, starts, seed, budget)
-// every option configuration returns the identical answer, and the engine
-// beats the legacy per-walker loop by ≥2x on the paper's families.
+// every option configuration returns the identical answer. The estimators
+// fuse their independent trials into wide grouped passes of the same
+// engine, with no limit on the round budget.
 //
 //	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
 //	res := eng.KCoverFrom(0, 64, seed, 1<<30)      // C^64 sample, in rounds

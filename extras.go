@@ -159,14 +159,6 @@ func RunMembershipSampling(g *Graph, origin int32, count, walkLen int, r *Rand) 
 
 // Non-backtracking walks (the "one bit of memory" ablation).
 
-// NBWalker is a non-backtracking random walker.
-type NBWalker = walk.NBWalker
-
-// NewNBWalker places a non-backtracking walker at start.
-func NewNBWalker(g *Graph, start int32, r *Rand) *NBWalker {
-	return walk.NewNBWalker(g, start, r)
-}
-
 // NBCoverTime estimates the expected cover time of k synchronized
 // non-backtracking walkers from start.
 func NBCoverTime(g *Graph, start int32, k int, opts MCOptions) (Estimate, error) {

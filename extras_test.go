@@ -146,9 +146,9 @@ func TestFacadeNBAndDistribution(t *testing.T) {
 	if nb.Mean() != 31 {
 		t.Fatalf("NB cycle cover %v, want exactly 31", nb.Mean())
 	}
-	w := manywalks.NewNBWalker(g, 0, manywalks.NewRand(16))
-	if w.Pos() != 0 {
-		t.Fatal("walker start")
+	eng := manywalks.NewEngine(g, manywalks.EngineOptions{Kernel: manywalks.NoBacktrackKernel()})
+	if res := eng.KCoverFrom(0, 1, 16, 1<<16); res.Steps != 31 {
+		t.Fatalf("NB engine cycle cover %+v, want exactly 31", res)
 	}
 	// Exact distribution machinery.
 	tiny := manywalks.NewCycle(6)

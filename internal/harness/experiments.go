@@ -400,19 +400,14 @@ func RunLemma19ExpanderVisit(cfg Config) (*Report, error) {
 		if u == v {
 			v = (v + 1) % int32(n)
 		}
+		// A trial visits v within the walk exactly when its hitting time
+		// is not censored at the walkLen budget.
 		opts := cfg.mc(hashKey(fmt.Sprintf("lem19-%d", i)), walkLen)
-		samples, err := walk.MonteCarlo(opts, func(_ int, rr *rng.Source) float64 {
-			steps, hit := walk.HitFrom(g, u, v, rr, walkLen)
-			_ = steps
-			if hit {
-				return 1
-			}
-			return 0
-		})
+		est, err := walk.EstimateHittingTime(g, u, v, opts)
 		if err != nil {
 			return nil, err
 		}
-		pVisit := stats.Summarize(samples).Mean
+		pVisit := 1 - float64(est.Truncated)/float64(est.Summary.N)
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", u), fmt.Sprintf("%d", v),
 			f(pVisit), f(bound), f(pVisit / bound),
@@ -615,7 +610,7 @@ func RunAblationLazyWalk(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lazy, err := estimateLazyCover(g, 0, cfg.mc(hashKey("alazy2"+g.Name()), nlognBudget(g.N())*8))
+		lazy, err := walk.EstimateKernelCoverTime(g, walk.Lazy(0.5), 0, cfg.mc(hashKey("alazy2"+g.Name()), nlognBudget(g.N())*8))
 		if err != nil {
 			return nil, err
 		}
@@ -631,36 +626,6 @@ func RunAblationLazyWalk(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// estimateLazyCover is a cover-time estimator for the lazy walk: each step
-// the walker stays put with probability 1/2.
-func estimateLazyCover(g *graph.Graph, start int32, opts walk.MCOptions) (walk.Estimate, error) {
-	samples, err := walk.MonteCarlo(opts, func(_ int, r *rng.Source) float64 {
-		n := g.N()
-		visited := make([]bool, n)
-		visited[start] = true
-		remaining := n - 1
-		pos := start
-		for t := int64(1); t <= opts.MaxSteps; t++ {
-			if !r.Bool() {
-				nb := g.Neighbors(pos)
-				pos = nb[r.Intn(len(nb))]
-				if !visited[pos] {
-					visited[pos] = true
-					remaining--
-					if remaining == 0 {
-						return float64(t)
-					}
-				}
-			}
-		}
-		return float64(opts.MaxSteps)
-	})
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	return walk.Estimate{Summary: stats.Summarize(samples)}, nil
-}
-
 // Experiment pairs a report ID with its runner so callers can select
 // experiments by name (cmd/experiments -only) without running them first.
 type Experiment struct {
@@ -668,7 +633,8 @@ type Experiment struct {
 	Run func(Config) (*Report, error)
 }
 
-// Experiments lists every non-Table-1 experiment in DESIGN.md order.
+// Experiments is the experiment catalog: every non-Table-1 experiment, in
+// the order cmd/experiments runs and prints them.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"F1-barbell", RunBarbellFigure},
@@ -714,7 +680,7 @@ func RunExperiments(cfg Config, list []Experiment) ([]*Report, error) {
 	return reports, nil
 }
 
-// AllExperiments runs every non-Table-1 experiment in DESIGN.md order.
+// AllExperiments runs every non-Table-1 experiment in catalog order.
 func AllExperiments(cfg Config) ([]*Report, error) {
 	return RunExperiments(cfg, Experiments())
 }

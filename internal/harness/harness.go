@@ -1,8 +1,7 @@
 // Package harness defines the runnable experiments that regenerate every
 // table and figure of the paper, plus the theorem-validation experiments
-// catalogued in DESIGN.md. Each experiment produces a Report — a titled
-// table of rows with free-form notes — that the cmd/ binaries print and
-// EXPERIMENTS.md records. The harness is deterministic given a Config seed.
+// catalogued by Experiments. Each experiment produces a Report — a titled
+// table of rows with free-form notes — that the cmd/ binaries print. The harness is deterministic given a Config seed.
 package harness
 
 import (
@@ -45,7 +44,7 @@ func (c Config) mc(salt uint64, maxSteps int64) walk.MCOptions {
 
 // Report is the printable outcome of one experiment.
 type Report struct {
-	ID      string // experiment id from DESIGN.md, e.g. "T1-cycle"
+	ID      string // experiment id from the Experiments catalog, e.g. "T1-cycle"
 	Title   string
 	Columns []string
 	Rows    [][]string

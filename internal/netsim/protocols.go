@@ -175,29 +175,11 @@ func noProgressResult(ttl int) QueryResult {
 
 // RunWalkQueryEngine is RunWalkQueryBatched on a caller-held engine, for
 // workloads that issue many queries against one topology and want to pay
-// the engine's table construction once. The query is one engine run: k
-// walkers from origin observed by a target-set HitObserver, stopped at the
-// exact hit round.
+// the engine's table construction once. The query is a one-lane
+// RunWalkQueriesEngine pass: k walkers from origin, stopped at the exact
+// round one stands on a node with the item.
 func RunWalkQueryEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem []bool, seed uint64) QueryResult {
-	if hasItem[origin] {
-		return QueryResult{Found: true, Rounds: 0, Messages: 0}
-	}
-	if eng.Graph().Degree(origin) == 0 {
-		return noProgressResult(ttl)
-	}
-	starts := make([]int32, k)
-	for i := range starts {
-		starts[i] = origin
-	}
-	hit := walk.NewHitObserver(hasItem)
-	res, err := eng.Run(walk.RunSpec{Starts: starts, Seed: seed, MaxRounds: int64(ttl)}, hit)
-	if err != nil {
-		panic(err.Error()) // topology mismatch is a caller bug, as in RunWalkQuery
-	}
-	if res.Stopped {
-		return QueryResult{Found: true, Rounds: int(res.Rounds), Messages: int64(k) * res.Rounds}
-	}
-	return QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
+	return RunWalkQueriesEngine(eng, origin, k, ttl, hasItem, []uint64{seed})[0]
 }
 
 // RunWalkQueriesEngine answers one query per seed as a single trial-fused
@@ -224,10 +206,9 @@ func RunWalkQueriesEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem [
 		}
 		return out
 	}
-	if int64(ttl) <= 0 || int64(ttl) > walk.MaxGroupedRounds {
-		// Outside the grouped driver's budget range: answer query by query.
-		for i, seed := range seeds {
-			out[i] = RunWalkQueryEngine(eng, origin, k, ttl, hasItem, seed)
+	if ttl <= 0 {
+		for i := range out {
+			out[i] = QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
 		}
 		return out
 	}

@@ -80,6 +80,40 @@ func TestRunBatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestNaiveWalkQueryPassZeroAlloc gates the NoCoalesce path the same way:
+// a naive walk query runs as its own one-lane pass through runPass, and
+// once warm that pass must allocate nothing — the inline path draws its
+// scratch from the same pooled arenas as the dispatcher. The request's own
+// pending/bucket setup is outside the gate, exactly as for the coalesced
+// pass above.
+func TestNaiveWalkQueryPassZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	s := newTestServer(t, Options{NoCoalesce: true, Workers: 1})
+	g := testGraphs()["expander64"]
+	b := queryBucket("expander64", g.N(), []int32{32, 49}, 4, 1<<12, []uint64{977})
+	r := b.reqs[0]
+	pass := func() {
+		if _, again := s.runPass(b); len(again) != 0 {
+			t.Fatal("walk query asked for another wave")
+		}
+		if a := <-r.done; a.err != nil {
+			t.Fatalf("pass failed: %v", a.err)
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("warm naive walk-query pass allocates %v times; want 0", allocs)
+	}
+	// The naive path answers exactly like the standalone query.
+	want := netsim.RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), r.starts[0], 4, 1<<12, markedOf(g.N(), []int32{32, 49}), 977)
+	got, err := s.WalkQuery(context.Background(), WalkQueryRequest{Graph: "expander64", Origin: r.starts[0], K: 4, TTL: 1 << 12, Targets: []int32{32, 49}, Seed: 977})
+	if err != nil || got != want {
+		t.Fatalf("naive query %+v (%v) != standalone %+v", got, err, want)
+	}
+}
+
 // TestArenaReuseNoStateLeak is the arena-reuse regression: a pass whose
 // lanes all retire at round 0 (origins standing on targets) parks the
 // arena with observer state recorded, and subsequent passes of every

@@ -24,9 +24,10 @@ const maxConcurrentPasses = 4
 // bitset is compiled from. Everything else may differ per request: each
 // lane carries its own request's placement (GroupedRunSpec.StartsFor) and
 // its own engine seed (GroupedRunSpec.Seeds), derived exactly as the
-// sequential path derives them, so which requests share a pass can never
-// change an answer. A walk query and a hitting-time estimate with the same
-// shape coalesce into the same pass; only their answer extraction differs.
+// standalone estimators derive them, so which requests share a pass can
+// never change an answer. A walk query and a hitting-time estimate with the
+// same shape coalesce into the same pass; only their answer extraction
+// differs.
 
 // reqKind selects how a request's lanes become its answer.
 type reqKind uint8
@@ -191,9 +192,25 @@ func (s *Server) wake() {
 	}
 }
 
-// await enqueues p and blocks for its answer or the context.
+// await enqueues p and blocks for its answer or the context. Under
+// NoCoalesce it instead runs p's own one-request bucket on the calling
+// goroutine through the same pass code the dispatcher uses, looping over
+// an adaptive request's waves; such requests count in Stats.Naive only.
 func (s *Server) await(ctx context.Context, ge *graphEntry, kernel walk.Kernel, key shapeKey, targets []int32, p *pending) (answer, error) {
-	if err := s.enqueue(ge, kernel, key, targets, p); err != nil {
+	if s.opts.NoCoalesce {
+		s.nNaive.Add(1)
+		b := &bucket{key: key, kernel: kernel, reqs: []*pending{p}}
+		if key.obs == obsHit {
+			b.marked = markedOf(ge.g.N(), targets)
+		}
+		for {
+			_, again := s.runPass(b)
+			if len(again) == 0 {
+				break
+			}
+			b.reqs = again
+		}
+	} else if err := s.enqueue(ge, kernel, key, targets, p); err != nil {
 		return answer{}, err
 	}
 	select {
@@ -302,13 +319,29 @@ func (s *Server) dispatchAll(drain bool) {
 	}
 }
 
-// runBatch folds one batch into a single grouped pass and delivers every
-// request's answer. Requests whose context expired are skipped before the
+// runBatch is the dispatcher's pass: it runs b through runPass, counts the
+// pass, and requeues the adaptive requests that need another wave.
+func (s *Server) runBatch(b *bucket) {
+	lanes, again := s.runPass(b)
+	if lanes > 0 {
+		s.nPasses.Add(1)
+		s.nLanes.Add(int64(lanes))
+		s.noteShape(b.key, lanes)
+	}
+	if len(again) > 0 {
+		s.requeue(b, again)
+	}
+}
+
+// runPass folds one batch into a single grouped pass and delivers every
+// request's answer, returning the lanes the pass ran (0 if it ran none)
+// and the adaptive requests whose next wave is due — their seeds already
+// advanced to it. Requests whose context expired are skipped before the
 // pass so their lanes cost nothing. All per-pass scratch — lane seeds and
 // placements, the spec's start template, the grouped result, the observer
-// itself — comes from a pooled passArena, so a warm tick allocates
+// itself — comes from a pooled passArena, so a warm pass allocates
 // nothing (see arena.go).
-func (s *Server) runBatch(b *bucket) {
+func (s *Server) runPass(b *bucket) (lanes int, again []*pending) {
 	a := s.getArena()
 	defer s.putArena(a)
 	for _, r := range b.reqs {
@@ -323,13 +356,12 @@ func (s *Server) runBatch(b *bucket) {
 		a.seeds = append(a.seeds, r.seeds...)
 	}
 	if len(a.live) == 0 {
-		return
+		return 0, nil
 	}
-	lanes := len(a.seeds)
 	ge, err := s.graphEntryFor(b.key.graph)
 	if err != nil {
 		deliverErr(a.live, err)
-		return
+		return 0, nil
 	}
 	eng := s.engineFor(ge, b.kernel)
 
@@ -338,7 +370,7 @@ func (s *Server) runBatch(b *bucket) {
 	}
 	a.starts = a.starts[:b.key.k]
 	spec := walk.GroupedRunSpec{
-		Trials:    lanes,
+		Trials:    len(a.seeds),
 		Starts:    a.starts,
 		StartsFor: a.startsFor,
 		Seeds:     a.seeds,
@@ -359,13 +391,9 @@ func (s *Server) runBatch(b *bucket) {
 		// operation; fail every request loudly rather than panicking the
 		// dispatcher.
 		deliverErr(a.live, err)
-		return
+		return 0, nil
 	}
-	s.nPasses.Add(1)
-	s.nLanes.Add(int64(lanes))
-	s.noteShape(b.key, lanes)
 	off := 0
-	var again []*pending
 	for _, r := range a.live {
 		n := len(r.seeds)
 		part := walk.GroupedResult{Rounds: a.res.Rounds[off : off+n], Stopped: a.res.Stopped[off : off+n]}
@@ -395,9 +423,7 @@ func (s *Server) runBatch(b *bucket) {
 		r.seeds = waveSeeds(ar.seed, lo, hi)
 		again = append(again, r)
 	}
-	if len(again) > 0 {
-		s.requeue(b, again)
-	}
+	return len(a.seeds), again
 }
 
 // requeue re-files the next wave of adaptive requests under their bucket's

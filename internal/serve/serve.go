@@ -7,15 +7,14 @@
 // aggregate process).
 //
 // The determinism contract is the whole point: every served answer is
-// bit-for-bit equal to the standalone sequential call for the same request
-// — netsim.RunWalkQueryEngine for walk queries, the per-trial
-// Engine.KHit/KCover/KMeetingTime loop with the MonteCarlo stream
-// derivation for estimates. Coalescing is pure batching: each request's
-// lanes carry engine seeds derived exactly as the sequential path derives
-// them (trial t of a request seeded s runs on rng.NewStream(s, t)'s first
-// draw), lanes never interact, and GroupedRunSpec.StartsFor gives every
-// lane its own request's placement. Which requests happen to share a pass
-// can therefore never change any answer.
+// bit-for-bit equal to the standalone call for the same request —
+// netsim.RunWalkQueryEngine for walk queries, the walk estimators for
+// estimates. Coalescing is pure batching: each request's lanes carry
+// engine seeds derived exactly as the estimators derive them (trial t of a
+// request seeded s runs on rng.NewStream(s, t)'s first draw), lanes never
+// interact, and GroupedRunSpec.StartsFor gives every lane its own
+// request's placement. Which requests happen to share a pass can therefore
+// never change any answer.
 package serve
 
 import (
@@ -63,9 +62,9 @@ type Options struct {
 	// engine default). Results never depend on it.
 	Workers int
 	// NoCoalesce serves every request individually on the submitting
-	// goroutine through the sequential engine path — the naive
-	// per-request dispatch the load generator compares against. Answers
-	// are identical either way.
+	// goroutine — its own one-request grouped pass, never shared with
+	// other requests — the naive per-request dispatch the load generator
+	// compares against. Answers are identical either way.
 	NoCoalesce bool
 }
 
@@ -80,7 +79,7 @@ const (
 // /v1/stats reports and the cluster router's load report consumes.
 type Stats struct {
 	Requests int64 `json:"requests"` // requests answered (errors included)
-	Naive    int64 `json:"naive"`    // requests served on the per-request sequential path
+	Naive    int64 `json:"naive"`    // requests served on the per-request (NoCoalesce) path
 	Passes   int64 `json:"passes"`   // grouped engine passes dispatched
 	Lanes    int64 `json:"lanes"`    // lanes folded into grouped passes
 	// EngineHits / EngineMisses count compiled-engine cache lookups: a miss
@@ -250,12 +249,11 @@ type MeetingTimeRequest struct {
 // Shared validation helpers
 
 // trialSeeds derives the engine seed of every trial of a request exactly as
-// the sequential Monte Carlo path does: trial t's driver stream is
-// rng.NewStream(seed, t), and with no placement draws its first Uint64 is
-// the engine seed (the value MonteCarlo's closures pass r.Uint64() into
-// KHit/KCover/KMeetingTime, and the value GroupedRunSpec's Seed derivation
-// produces). Externalizing the derivation is what lets one grouped pass
-// carry lanes of many requests with different root seeds.
+// the estimators do: trial t's driver stream is rng.NewStream(seed, t), and
+// with no placement draws its first Uint64 is the engine seed (the value
+// GroupedRunSpec's Seed derivation produces). Externalizing the derivation
+// is what lets one grouped pass carry lanes of many requests with
+// different root seeds.
 func trialSeeds(seed uint64, trials int) []uint64 {
 	return waveSeeds(seed, 0, trials)
 }
@@ -285,31 +283,6 @@ func adaptiveFor(prec walk.Precision, trials int) (*walk.AdaptiveState, walk.Pre
 		return nil, walk.Precision{}, err
 	}
 	return st, st.Precision(), nil
-}
-
-// runAdaptiveNaive is the per-request sequential path of an adaptive
-// estimate: waves of standalone engine runs with the global-index seed
-// derivation, the stop decided by the same walk.AdaptiveState the
-// coalesced path folds through — so the two paths stop at the same trial
-// with identical samples.
-func runAdaptiveNaive(st *walk.AdaptiveState, seed uint64, onProgress func(walk.WaveStat), trial func(engineSeed uint64) (int64, bool)) walk.Estimate {
-	var all walk.GroupedResult
-	for !st.Done() {
-		lo, hi := st.WaveSpan()
-		rounds := make([]int64, hi-lo)
-		stopped := make([]bool, hi-lo)
-		for t := lo; t < hi; t++ {
-			rounds[t-lo], stopped[t-lo] = trial(rng.NewStream(seed, uint64(t)).Uint64())
-		}
-		all.Rounds = append(all.Rounds, rounds...)
-		all.Stopped = append(all.Stopped, stopped...)
-		ws := st.Fold(rounds, stopped)
-		if onProgress != nil {
-			onProgress(ws)
-		}
-	}
-	all.Waves, all.Converged = st.Waves(), st.Converged()
-	return walk.EstimateFromTrials(all)
 }
 
 func (s *Server) resolve(graphID string, kernel walk.Kernel) (*graphEntry, error) {
@@ -378,12 +351,6 @@ func (s *Server) WalkQuery(ctx context.Context, req WalkQueryRequest) (netsim.Qu
 	if err := checkVertices(ge.g, req.Targets...); err != nil {
 		return netsim.QueryResult{}, err
 	}
-	if s.opts.NoCoalesce || int64(req.TTL) > walk.MaxGroupedRounds {
-		s.nNaive.Add(1)
-		eng := s.engineFor(ge, req.Kernel)
-		hasItem := markedOf(ge.g.N(), req.Targets)
-		return netsim.RunWalkQueryEngine(eng, req.Origin, req.K, req.TTL, hasItem, req.Seed), nil
-	}
 	p := &pending{
 		kind:   kindQuery,
 		k:      req.K,
@@ -431,23 +398,6 @@ func (s *Server) HittingTime(ctx context.Context, req HittingTimeRequest) (walk.
 		return walk.Estimate{}, err
 	}
 	targets := []int32{req.Target}
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
-		s.nNaive.Add(1)
-		eng := s.engineFor(ge, req.Kernel)
-		marked := markedOf(ge.g.N(), targets)
-		trial := func(seed uint64) (int64, bool) {
-			hr := eng.KHit([]int32{req.Start}, marked, seed, req.MaxSteps)
-			return hr.Rounds, hr.Hit
-		}
-		if ast != nil {
-			return runAdaptiveNaive(ast, req.Seed, req.OnProgress, trial), nil
-		}
-		res := walk.GroupedResult{Rounds: make([]int64, req.Trials), Stopped: make([]bool, req.Trials)}
-		for t, seed := range trialSeeds(req.Seed, req.Trials) {
-			res.Rounds[t], res.Stopped[t] = trial(seed)
-		}
-		return walk.EstimateFromTrials(res), nil
-	}
 	p := &pending{
 		kind:   kindEstimate,
 		k:      1,
@@ -499,22 +449,6 @@ func (s *Server) CoverTime(ctx context.Context, req CoverTimeRequest) (walk.Esti
 		return walk.Estimate{}, err
 	}
 	starts := commonStarts(req.Start, req.K)
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
-		s.nNaive.Add(1)
-		eng := s.engineFor(ge, req.Kernel)
-		trial := func(seed uint64) (int64, bool) {
-			cr := eng.KCover(starts, seed, req.MaxSteps)
-			return cr.Steps, cr.Covered
-		}
-		if ast != nil {
-			return runAdaptiveNaive(ast, req.Seed, req.OnProgress, trial), nil
-		}
-		res := walk.GroupedResult{Rounds: make([]int64, req.Trials), Stopped: make([]bool, req.Trials)}
-		for t, seed := range trialSeeds(req.Seed, req.Trials) {
-			res.Rounds[t], res.Stopped[t] = trial(seed)
-		}
-		return walk.EstimateFromTrials(res), nil
-	}
 	p := &pending{
 		kind:   kindEstimate,
 		k:      req.K,
@@ -565,33 +499,6 @@ func (s *Server) MeetingTime(ctx context.Context, req MeetingTimeRequest) (walk.
 	ast, prec, err := adaptiveFor(req.Precision, req.Trials)
 	if err != nil {
 		return walk.Estimate{}, err
-	}
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
-		s.nNaive.Add(1)
-		eng := s.engineFor(ge, req.Kernel)
-		var trialErr error
-		trial := func(seed uint64) (int64, bool) {
-			mr, err := eng.KMeetingTime(starts, seed, req.MaxSteps)
-			if err != nil && trialErr == nil {
-				trialErr = err
-			}
-			return mr.Rounds, mr.Met
-		}
-		if ast != nil {
-			est := runAdaptiveNaive(ast, req.Seed, req.OnProgress, trial)
-			if trialErr != nil {
-				return walk.Estimate{}, trialErr
-			}
-			return est, nil
-		}
-		res := walk.GroupedResult{Rounds: make([]int64, req.Trials), Stopped: make([]bool, req.Trials)}
-		for t, seed := range trialSeeds(req.Seed, req.Trials) {
-			res.Rounds[t], res.Stopped[t] = trial(seed)
-			if trialErr != nil {
-				return walk.Estimate{}, trialErr
-			}
-		}
-		return walk.EstimateFromTrials(res), nil
 	}
 	p := &pending{
 		kind:   kindEstimate,

@@ -278,8 +278,10 @@ func TestWarmPrecompilesEngines(t *testing.T) {
 }
 
 // TestNaiveMatchesCoalesced pins the two dispatch modes against each other:
-// the naive per-request path and the coalesced path must serve identical
-// answers for identical requests, at every coalesced worker count.
+// the naive inline per-request path and the coalesced path must serve
+// identical answers for identical requests, at every coalesced worker
+// count — walk queries and all three estimate kinds, fixed-count and
+// adaptive — and the naive server must never count a grouped pass.
 func TestNaiveMatchesCoalesced(t *testing.T) {
 	for _, workers := range serveWorkerGrid() {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
@@ -291,13 +293,14 @@ func TestNaiveMatchesCoalesced(t *testing.T) {
 func testNaiveMatchesCoalesced(t *testing.T, workers int) {
 	co := newTestServer(t, Options{Workers: workers})
 	na := newTestServer(t, Options{NoCoalesce: true})
+	ctx := context.Background()
 	for seed := uint64(0); seed < 8; seed++ {
 		req := WalkQueryRequest{Graph: "expander64", Origin: int32(seed), K: 2, TTL: 1 << 14, Targets: []int32{60}, Seed: seed}
-		a, err := co.WalkQuery(context.Background(), req)
+		a, err := co.WalkQuery(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := na.WalkQuery(context.Background(), req)
+		b, err := na.WalkQuery(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,45 +308,77 @@ func testNaiveMatchesCoalesced(t *testing.T, workers int) {
 			t.Fatalf("seed %d: coalesced %+v != naive %+v", seed, a, b)
 		}
 	}
-	hreq := HittingTimeRequest{Graph: "cycle32", Start: 0, Target: 16, Trials: 16, Seed: 7, MaxSteps: 1 << 16}
-	a, err := co.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
+	for _, prec := range []walk.Precision{{}, serveAdaptivePrecision()} {
+		estimates := []struct {
+			name string
+			run  func(s *Server) (walk.Estimate, error)
+		}{
+			{"hitting", func(s *Server) (walk.Estimate, error) {
+				return s.HittingTime(ctx, HittingTimeRequest{Graph: "cycle32", Start: 0, Target: 16,
+					Trials: serveAdaptiveBudget, Seed: 7, MaxSteps: 1 << 16, Precision: prec})
+			}},
+			{"cover", func(s *Server) (walk.Estimate, error) {
+				return s.CoverTime(ctx, CoverTimeRequest{Graph: "expander64", Start: 3, K: 4,
+					Trials: serveAdaptiveBudget, Seed: 9, MaxSteps: 1 << 16, Precision: prec})
+			}},
+			{"meeting", func(s *Server) (walk.Estimate, error) {
+				return s.MeetingTime(ctx, MeetingTimeRequest{Graph: "complete16", Starts: []int32{0, 5, 9},
+					Trials: serveAdaptiveBudget, Seed: 11, MaxSteps: 1 << 16, Precision: prec})
+			}},
+		}
+		for _, e := range estimates {
+			a, err := e.run(co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.run(na)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("%s (adaptive=%v): coalesced %+v != naive %+v", e.name, prec.Enabled(), a, b)
+			}
+			if prec.Enabled() && (a.Waves == 0 || a.Summary.N >= serveAdaptiveBudget) {
+				t.Fatalf("%s: adaptive request ran %d waves over %d trials", e.name, a.Waves, a.Summary.N)
+			}
+		}
 	}
-	b, err := na.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("hitting: coalesced %+v != naive %+v", a, b)
-	}
-	if st := na.Stats(); st.Naive != st.Requests || st.Passes != 0 {
+	if st := na.Stats(); st.Naive != st.Requests || st.Passes != 0 || st.Lanes != 0 {
 		t.Fatalf("naive server ran grouped passes: %+v", st)
 	}
 }
 
-// TestOverCapBudgetFallsBackSequential: budgets beyond MaxGroupedRounds
-// cannot run grouped; the server must serve them on the sequential path
-// with the same per-trial samples a below-cap request yields when trials
-// finish well under either budget.
-func TestOverCapBudgetFallsBackSequential(t *testing.T) {
+// TestHugeBudgetCoalesces: the grouped driver has no round cap, so
+// requests with budgets far past 2^31 rounds coalesce like any other
+// (Passes rises, Naive stays 0) and still answer exactly what the
+// standalone calls return.
+func TestHugeBudgetCoalesces(t *testing.T) {
 	s := newTestServer(t, Options{})
-	under := HittingTimeRequest{Graph: "complete16", Start: 0, Target: 8, Trials: 8, Seed: 3, MaxSteps: walk.MaxGroupedRounds}
-	over := under
-	over.MaxSteps = walk.MaxGroupedRounds + 1 // == 1<<31, the boundary budget
-	a, err := s.HittingTime(context.Background(), under)
+	ctx := context.Background()
+	const budget = int64(1) << 40
+	g := testGraphs()["complete16"]
+	cover, err := s.CoverTime(ctx, CoverTimeRequest{Graph: "complete16", Start: 0, K: 2, Trials: 8, Seed: 3, MaxSteps: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.HittingTime(context.Background(), over)
+	wantCover, err := walk.EstimateKCoverTime(g, 0, 2, walk.MCOptions{Trials: 8, Seed: 3, MaxSteps: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("budget boundary changed finished-trial samples: under %+v over %+v", a, b)
+	if cover != wantCover {
+		t.Fatalf("huge-budget cover %+v != standalone %+v", cover, wantCover)
 	}
-	if st := s.Stats(); st.Naive == 0 {
-		t.Fatalf("over-cap request did not take the sequential path: %+v", st)
+	query, err := s.WalkQuery(ctx, WalkQueryRequest{Graph: "complete16", Origin: 0, K: 2, TTL: int(budget), Targets: []int32{8}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := markedOf(g.N(), []int32{8})
+	wantQuery := netsim.RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 2, int(budget), marked, 5)
+	if query != wantQuery {
+		t.Fatalf("huge-budget query %+v != standalone %+v", query, wantQuery)
+	}
+	if st := s.Stats(); st.Naive != 0 || st.Passes < 2 {
+		t.Fatalf("huge-budget requests did not coalesce: %+v", st)
 	}
 }
 

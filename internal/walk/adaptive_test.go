@@ -379,3 +379,55 @@ func TestAdaptiveStateClamps(t *testing.T) {
 		t.Fatal("invalid confidence accepted")
 	}
 }
+
+// TestPrecisionHonouredEverywhere runs every estimator that returns an
+// Estimate with a loose tolerance and a large trial cap: each must run
+// adaptive waves and stop well below the cap. (MeanPartialCoverRounds
+// stops on its largest fraction and reports the same trials for every
+// fraction.)
+func TestPrecisionHonouredEverywhere(t *testing.T) {
+	g := graph.Cycle(32)
+	const k, cap = 2, 4096
+	opts := MCOptions{Trials: cap, Workers: 2, Seed: 21, MaxSteps: 1 << 20, Precision: Precision{RTol: 0.2}}
+	cases := []struct {
+		name string
+		run  func() (Estimate, error)
+	}{
+		{"CoverTime", func() (Estimate, error) { return EstimateCoverTime(g, 0, opts) }},
+		{"KCoverTime", func() (Estimate, error) { return EstimateKCoverTime(g, 0, k, opts) }},
+		{"KCoverTimeStationary", func() (Estimate, error) { return EstimateKCoverTimeStationary(g, k, opts) }},
+		{"PartialCoverTime", func() (Estimate, error) { return EstimatePartialCoverTime(g, 0, k, 0.5, opts) }},
+		{"NBCoverTime", func() (Estimate, error) { return EstimateNBCoverTime(g, 0, k, opts) }},
+		{"KernelCoverTime", func() (Estimate, error) { return EstimateKernelCoverTime(g, Lazy(0.5), 0, opts) }},
+		{"KernelKCoverTime", func() (Estimate, error) { return EstimateKernelKCoverTime(g, Lazy(0.5), 0, k, opts) }},
+		{"HittingTime", func() (Estimate, error) { return EstimateHittingTime(g, 0, 16, opts) }},
+		{"KernelHittingTime", func() (Estimate, error) { return EstimateKernelHittingTime(g, Lazy(0.5), 0, 16, opts) }},
+		{"MeetingTime", func() (Estimate, error) { return EstimateMeetingTime(g, 0, 16, opts) }},
+		{"KMeetingTime", func() (Estimate, error) { return EstimateKMeetingTime(g, []int32{0, 16}, opts) }},
+		{"KCoalescenceTime", func() (Estimate, error) {
+			coal, _, err := EstimateKCoalescenceTime(g, []int32{0, 10, 20}, opts)
+			return coal, err
+		}},
+		{"MeanPartialCoverRounds", func() (Estimate, error) {
+			ests, err := MeanPartialCoverRounds(g, 0, k, []float64{0.25, 1}, opts)
+			if err != nil {
+				return Estimate{}, err
+			}
+			if ests[0].Summary.N != ests[1].Summary.N || ests[0].Waves != ests[1].Waves {
+				t.Fatalf("fractions ran different trials: %+v vs %+v", ests[0], ests[1])
+			}
+			return ests[1], nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			est, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.Waves == 0 || est.Summary.N >= cap {
+				t.Fatalf("Precision ignored: %d waves, %d of %d trials", est.Waves, est.Summary.N, cap)
+			}
+		})
+	}
+}

@@ -61,7 +61,7 @@ func (o *GroupPathObserver) perLaneCells(int) int { return o.rowCells() }
 
 func (o *GroupPathObserver) rowCells() int { return (o.Length + 1) * max(o.k, 1) }
 
-func (o *GroupPathObserver) validateGroup(n, k, trials int) error {
+func (o *GroupPathObserver) validateGroup(n, k, trials int, _ int64) error {
 	if o.Length < 1 {
 		return fmt.Errorf("walk: path observer requires Length >= 1, got %d", o.Length)
 	}
@@ -246,6 +246,10 @@ const corpusBinaryMagic = uint32(0x7063776d)
 
 const corpusBinaryVersion = uint32(1)
 
+// maxCorpusLength bounds the walk length: the binary header stores it as a
+// uint32, and the path rows index rounds with int32-sized offsets.
+const maxCorpusLength = int64(1)<<31 - 1
+
 // GenerateCorpus runs spec's walks through the grouped engine in waves and
 // streams the encoded corpus to w, returning the walk and step counts. The
 // corpus never resides in memory: a wave of up to ~16k walks runs as trial
@@ -261,8 +265,8 @@ func (e *Engine) GenerateCorpus(spec CorpusSpec, w io.Writer) (CorpusStats, erro
 	if spec.Length < 1 {
 		return CorpusStats{}, fmt.Errorf("walk: corpus requires Length >= 1, got %d", spec.Length)
 	}
-	if int64(spec.Length) > MaxGroupedRounds {
-		return CorpusStats{}, fmt.Errorf("walk: corpus length %d exceeds %d rounds", spec.Length, MaxGroupedRounds)
+	if int64(spec.Length) > maxCorpusLength {
+		return CorpusStats{}, fmt.Errorf("walk: corpus length %d exceeds %d rounds", spec.Length, maxCorpusLength)
 	}
 	if spec.Format != CorpusText && spec.Format != CorpusBinary {
 		return CorpusStats{}, fmt.Errorf("walk: unknown corpus format %d", spec.Format)

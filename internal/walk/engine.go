@@ -15,7 +15,7 @@ import (
 // This file implements the batched k-walk engine, the hot path behind every
 // cover-time, partial-cover, and hit-time estimate in the repository.
 //
-// The legacy simulators in walk.go advance walkers through Walker.Step,
+// A per-walker simulator would advance each walker through a Step method,
 // paying a slice-header construction and a non-inlinable shared-RNG call
 // per step. The engine instead keeps all walker state in flat arrays —
 // positions in a []int32, one xoshiro256++ stream per walker in a
@@ -128,8 +128,7 @@ const (
 
 // NewEngine returns an engine for g. It panics if any vertex is isolated
 // (a walker there would have no move) or if opts.Kernel is invalid,
-// mirroring Walker's constructor contract of rejecting impossible
-// configurations up front.
+// rejecting impossible configurations up front.
 func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	offsets, adj := g.CSR()
 	n := g.N()
@@ -841,8 +840,9 @@ func (e *Engine) runGeneric(st *runState, spec RunSpec, obs []Observer) RunResul
 	return RunResult{Rounds: spec.MaxRounds}
 }
 
-// mustRun is the shim behind the legacy convenience wrappers, which keep
-// their documented panic-on-misuse contract on top of Run's error returns.
+// mustRun is the shim behind the convenience wrappers (KCover, KHit, ...),
+// which keep their documented panic-on-misuse contract on top of Run's
+// error returns.
 func (e *Engine) mustRun(spec RunSpec, obs ...Observer) RunResult {
 	res, err := e.Run(spec, obs...)
 	if err != nil {

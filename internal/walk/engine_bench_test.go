@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 )
 
-// Engine-versus-legacy benchmarks on the paper's graph families. Each
-// measures one full k=64 cover from the family's canonical start, the
-// workload behind every C^k estimate. The legacy baseline is the original
-// per-walker loop (KCoverFrom); the engine rows run the batched kernel.
+// Engine benchmarks on the paper's graph families. Each measures one full
+// k=64 cover from the family's canonical start, the workload behind every
+// C^k estimate.
 
 type benchFamily struct {
 	name  string
@@ -29,21 +27,6 @@ func benchFamilies() []benchFamily {
 }
 
 const benchK = 64
-
-func BenchmarkKCoverLegacy(b *testing.B) {
-	for _, fam := range benchFamilies() {
-		b.Run(fam.name, func(b *testing.B) {
-			g, start := fam.build()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := KCoverFrom(g, start, benchK, rng.NewStream(42, uint64(i)), 1<<40)
-				if !res.Covered {
-					b.Fatal("not covered")
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkKCoverEngine(b *testing.B) {
 	for _, fam := range benchFamilies() {
@@ -123,19 +106,8 @@ func hitBenchSetup() (*graph.Graph, []int32, []bool) {
 	return g, make([]int32, benchK), marked
 }
 
-// BenchmarkKHitLegacy / BenchmarkKHitEngine give the hit path the same
-// engine-vs-legacy performance coverage the cover path has had since PR 1:
-// one full k=64 marked-vertex search per op.
-func BenchmarkKHitLegacy(b *testing.B) {
-	g, starts, marked := hitBenchSetup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !KHitFromVertices(g, starts, marked, rng.NewStream(42, uint64(i)), 1<<20).Hit {
-			b.Fatal("no hit")
-		}
-	}
-}
-
+// BenchmarkKHitEngine gives the hit path the same performance coverage
+// the cover path has: one full k=64 marked-vertex search per op.
 func BenchmarkKHitEngine(b *testing.B) {
 	g, starts, marked := hitBenchSetup()
 	eng := NewEngine(g, EngineOptions{Workers: 1})
@@ -170,19 +142,12 @@ func BenchmarkKCoverKernels(b *testing.B) {
 }
 
 // BenchmarkKWalkThroughput measures raw stepping throughput with a fixed
-// round budget on a graph too large to cover within it, so legacy and
-// engine execute exactly the same number of walker-steps: 64 walkers x
-// 2000 rounds on the n=16384 expander (128k steps per op).
+// round budget on a graph too large to cover within it, so every op
+// executes exactly the same number of walker-steps: 64 walkers x 2000
+// rounds on the n=16384 expander (128k steps per op).
 func BenchmarkKWalkThroughput(b *testing.B) {
 	g := graph.MargulisExpander(128)
 	const rounds = 2000
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if KCoverFrom(g, 0, benchK, rng.NewStream(42, uint64(i)), rounds).Covered {
-				b.Fatal("unexpected cover; raise n")
-			}
-		}
-	})
 	b.Run("engine", func(b *testing.B) {
 		eng := NewEngine(g, EngineOptions{Workers: 1})
 		for i := 0; i < b.N; i++ {

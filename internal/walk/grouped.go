@@ -39,16 +39,10 @@ import (
 // runs the generic path below: the engine's own stepRound over the whole
 // active width, with per-round lane scans. Both paths produce identical
 // per-trial results; TestFusedMatchesSequentialTrials pins them against
-// the sequential engine across a Workers × BatchRounds grid.
-
-// MaxGroupedRounds is the largest MaxRounds RunGrouped accepts: first-visit
-// lanes store rounds as uint32 (with ^0 as the unset sentinel) and the fused
-// pair passes stage them through signed 32-bit arithmetic, so round 2^31-1
-// is the last representable and a budget of exactly 2^31 must already take
-// the sequential path. Estimators with larger budgets fall back to the
-// sequential MonteCarlo path automatically; external callers (netsim query
-// sweeps, the serving coalescer) gate on this constant the same way.
-const MaxGroupedRounds = int64(1)<<31 - 1
+// the sequential engine across a Workers × BatchRounds grid. Any budget
+// runs here: cover lanes keep their uint32 first-visit cells relative to a
+// per-lane epoch base (see coverEpochSpan), and every other lane state
+// holds int64 rounds.
 
 // GroupedRunSpec describes Trials independent k-walk runs of one shape.
 type GroupedRunSpec struct {
@@ -86,8 +80,7 @@ type GroupedRunSpec struct {
 	// (len Trials), bypassing the Seed/Place derivation — the shape of
 	// callers like the netsim query sweeps that pick per-query seeds.
 	Seeds []uint64
-	// MaxRounds is the per-trial round budget (required, > 0, and at most
-	// MaxGroupedRounds).
+	// MaxRounds is the per-trial round budget (required, > 0).
 	MaxRounds int64
 	// Workers caps the goroutines stepping lane shards (0: the engine's
 	// worker count). Results never depend on it.
@@ -114,7 +107,7 @@ type GroupedResult struct {
 // compaction, so retiring a trial never copies observer lanes.
 type GroupObserver interface {
 	// validateGroup checks configuration against the run shape.
-	validateGroup(n, k, trials int) error
+	validateGroup(n, k, trials int, maxRounds int64) error
 	// bindGroup sizes per-trial outputs and per-lane scratch: the run has
 	// trials trials total, at most lanes concurrent lanes of k walkers,
 	// scanned by at most workers goroutines.
@@ -141,6 +134,13 @@ type GroupObserver interface {
 // running them.
 type neverSatisfiable interface {
 	neverSatisfied() bool
+}
+
+// epochRebaser is implemented by observers whose lane state holds rounds
+// relative to an epoch base; the generic driver lets them rebase at every
+// batch barrier, so no per-round scan pays for it.
+type epochRebaser interface {
+	rebase(gs *groupState, t0, b int64)
 }
 
 // laneCelled is implemented by observers whose per-lane state scales with
@@ -271,9 +271,6 @@ func (e *Engine) validateGrouped(spec *GroupedRunSpec, obs []GroupObserver) erro
 	if spec.MaxRounds <= 0 {
 		return fmt.Errorf("walk: grouped run requires MaxRounds > 0, got %d", spec.MaxRounds)
 	}
-	if spec.MaxRounds > MaxGroupedRounds {
-		return fmt.Errorf("walk: grouped run budget %d exceeds %d rounds; use the sequential path", spec.MaxRounds, MaxGroupedRounds)
-	}
 	if spec.Seeds != nil {
 		if len(spec.Seeds) != spec.Trials {
 			return fmt.Errorf("walk: %d explicit seeds for %d trials", len(spec.Seeds), spec.Trials)
@@ -294,7 +291,7 @@ func (e *Engine) validateGrouped(spec *GroupedRunSpec, obs []GroupObserver) erro
 		}
 	}
 	for _, o := range obs {
-		if err := o.validateGroup(n, k, spec.Trials); err != nil {
+		if err := o.validateGroup(n, k, spec.Trials, spec.MaxRounds); err != nil {
 			return err
 		}
 	}
@@ -531,6 +528,11 @@ func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, obs []
 		if int64(b) > spec.MaxRounds-t0 {
 			b = int(spec.MaxRounds - t0)
 		}
+		for _, o := range obs {
+			if r, ok := o.(epochRebaser); ok {
+				r.rebase(gst, t0, int64(b))
+			}
+		}
 		workers := spec.Workers
 		if workers > gst.lanes {
 			workers = gst.lanes
@@ -584,6 +586,15 @@ func (e *Engine) genericShardAsync(gst *groupState, obs []GroupObserver, b int, 
 // lanes.
 const groupUnset = ^uint32(0)
 
+// coverEpochSpan is the widest round range a cover lane's uint32
+// first-visit cells represent. Cells hold rounds relative to the lane's
+// epoch base; before a lane steps past base+coverEpochSpan it rebases
+// (rebaseLane), so any budget fits. 2^31-1 keeps relative rounds clear of
+// the groupUnset sentinel and of the fused path's uint32 pair arithmetic.
+// It is a variable only so tests can shrink it and cross epochs on short
+// runs.
+var coverEpochSpan = int64(1)<<31 - 1
+
 // GroupCoverObserver tracks, per trial lane, the distinct vertices visited
 // and each vertex's exact first-visit round — the grouped counterpart of
 // CoverObserver for count-target workloads. Configure before the run:
@@ -591,7 +602,9 @@ const groupUnset = ^uint32(0)
 //   - Target: stop threshold on the distinct-visit count (0 selects n,
 //     full cover).
 //   - RecordFirst: export every trial's first-visit rounds (the
-//     coverage-profile sampler); retrieve with TrialFirstVisits.
+//     coverage-profile sampler); retrieve with TrialFirstVisits. Exact
+//     export needs every round in one epoch, so RecordFirst runs are
+//     limited to MaxRounds <= 2^31-1.
 //
 // Lane state is a word of uint32 first-visit rounds per vertex — the
 // packed replacement for the sequential path's per-trial byte arrays —
@@ -609,6 +622,11 @@ type GroupCoverObserver struct {
 	laneOff []int32  // lane -> slot (swapped on compaction)
 	counts  []int32  // per slot: distinct vertices visited
 	done    []int64  // per slot: satisfaction round, -1 while running
+	base    []int64  // per slot: epoch base the first-visit cells are relative to
+	// epoch is the generic path's shared base: its lanes start together and
+	// step in lockstep, so every active lane's base equals it, and the
+	// per-round scan subtracts it once instead of per lane.
+	epoch int64
 
 	outCount []int32   // per trial
 	outFirst [][]int64 // per trial, when RecordFirst
@@ -623,9 +641,12 @@ func NewGroupCoverObserver(target int) *GroupCoverObserver {
 // perLaneCells reports the uint32 first-visit cells each lane allocates.
 func (o *GroupCoverObserver) perLaneCells(n int) int { return n }
 
-func (o *GroupCoverObserver) validateGroup(n, k, trials int) error {
+func (o *GroupCoverObserver) validateGroup(n, k, trials int, maxRounds int64) error {
 	if o.Target < 0 || o.Target > n {
 		return fmt.Errorf("walk: cover target %d out of range [1,%d]", o.Target, n)
+	}
+	if o.RecordFirst && maxRounds > coverEpochSpan {
+		return fmt.Errorf("walk: first-visit export supports budgets up to %d rounds, got %d", coverEpochSpan, maxRounds)
 	}
 	return nil
 }
@@ -642,8 +663,9 @@ func (o *GroupCoverObserver) bindGroup(e *Engine, trials, lanes, k, workers int)
 		o.laneOff = make([]int32, lanes)
 		o.counts = make([]int32, lanes)
 		o.done = make([]int64, lanes)
+		o.base = make([]int64, lanes)
 	}
-	o.laneOff, o.counts, o.done = o.laneOff[:lanes], o.counts[:lanes], o.done[:lanes]
+	o.laneOff, o.counts, o.done, o.base = o.laneOff[:lanes], o.counts[:lanes], o.done[:lanes], o.base[:lanes]
 	for i := range o.laneOff {
 		o.laneOff[i] = int32(i)
 	}
@@ -680,9 +702,39 @@ func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
 	}
 	o.counts[s] = count
 	o.done[s] = -1
+	o.base[s], o.epoch = 0, 0 // a chunk's lanes all start at round 0
 	if int(count) >= o.target {
 		o.done[s] = 0
 	}
+}
+
+// rebaseLane moves slot s's epoch base forward to round t, which must be
+// no earlier than every round its cells hold. Visited cells all fall at
+// or before t, so they saturate to relative round 0 — still "visited",
+// and still no later than any round the lane can stop at — and unvisited
+// cells keep the sentinel. Only exact first-visit export needs the rounds
+// lost here, which is why RecordFirst never runs past one epoch.
+func (o *GroupCoverObserver) rebaseLane(s int32, t int64) {
+	lane := o.laneCells(s)
+	for i, f := range lane {
+		if f != groupUnset {
+			lane[i] = 0
+		}
+	}
+	o.base[s] = t
+}
+
+// rebase is the generic path's epoch hook, called single-threaded at every
+// batch barrier before rounds (t0, t0+b] step: if the batch would leave
+// the shared epoch, every active lane rebases to t0.
+func (o *GroupCoverObserver) rebase(gs *groupState, t0, b int64) {
+	if t0+b-o.epoch <= coverEpochSpan {
+		return
+	}
+	for ln := 0; ln < gs.lanes; ln++ {
+		o.rebaseLane(o.laneOff[ln], t0)
+	}
+	o.epoch = t0
 }
 
 // scanRound is the generic-path lane scan: exact first-visit recording in
@@ -690,7 +742,7 @@ func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
 // through its inline min-update scan instead.
 func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t int64) {
 	k := gs.laneK
-	tt := uint32(t)
+	tt := uint32(t - o.epoch)
 	for ln := loLane; ln < hiLane; ln++ {
 		s := o.laneOff[ln]
 		if o.done[s] >= 0 {
@@ -706,7 +758,7 @@ func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t 
 		}
 		o.counts[s] = count
 		if int(count) >= o.target {
-			o.done[s] = t
+			o.done[s] = o.epoch + int64(tt) // == t; keeps t out of the loop's registers
 		}
 	}
 }
@@ -721,18 +773,19 @@ func (o *GroupCoverObserver) finishLane(ln, trial int, rounds int64, stopped boo
 	// state a sequential run reports.
 	count := int32(0)
 	lane := o.laneCells(s)
+	base := o.base[s]
 	var out []int64
 	if o.RecordFirst {
 		out = make([]int64, o.n)
 	}
 	for v, f := range lane {
-		visited := f != groupUnset && int64(f) <= rounds
+		visited := f != groupUnset && base+int64(f) <= rounds
 		if visited {
 			count++
 		}
 		if out != nil {
 			if visited {
-				out[v] = int64(f)
+				out[v] = base + int64(f)
 			} else {
 				out[v] = -1
 			}
@@ -784,7 +837,7 @@ func NewGroupHitObserver(marked []bool) *GroupHitObserver {
 	return &GroupHitObserver{Marked: marked}
 }
 
-func (o *GroupHitObserver) validateGroup(n, k, trials int) error {
+func (o *GroupHitObserver) validateGroup(n, k, trials int, _ int64) error {
 	if len(o.Marked) != n {
 		return fmt.Errorf("walk: marked length %d != n %d", len(o.Marked), n)
 	}
@@ -904,7 +957,7 @@ func NewGroupCollisionObserver(coalesce bool) *GroupCollisionObserver {
 	return &GroupCollisionObserver{Coalesce: coalesce}
 }
 
-func (o *GroupCollisionObserver) validateGroup(n, k, trials int) error {
+func (o *GroupCollisionObserver) validateGroup(n, k, trials int, _ int64) error {
 	if k < 2 {
 		return fmt.Errorf("walk: collision observer requires at least 2 walkers, got %d", k)
 	}

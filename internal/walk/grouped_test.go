@@ -368,19 +368,26 @@ func TestGroupedValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		spec GroupedRunSpec
+		obs  GroupObserver // nil: cov
 	}{
-		{"no trials", GroupedRunSpec{Starts: []int32{0}, MaxRounds: 10}},
-		{"no walkers", GroupedRunSpec{Trials: 1, MaxRounds: 10}},
-		{"no budget", GroupedRunSpec{Trials: 1, Starts: []int32{0}}},
-		{"budget too large", GroupedRunSpec{Trials: 1, Starts: []int32{0}, MaxRounds: MaxGroupedRounds + 1}},
-		{"bad start", GroupedRunSpec{Trials: 1, Starts: []int32{99}, MaxRounds: 10}},
-		{"seeds length", GroupedRunSpec{Trials: 2, Starts: []int32{0}, MaxRounds: 10, Seeds: []uint64{1}}},
+		{"no trials", GroupedRunSpec{Starts: []int32{0}, MaxRounds: 10}, nil},
+		{"no walkers", GroupedRunSpec{Trials: 1, MaxRounds: 10}, nil},
+		{"no budget", GroupedRunSpec{Trials: 1, Starts: []int32{0}}, nil},
+		// First-visit export is exact only within one cover epoch.
+		{"budget too large", GroupedRunSpec{Trials: 1, Starts: []int32{0}, MaxRounds: 1 << 31},
+			&GroupCoverObserver{RecordFirst: true}},
+		{"bad start", GroupedRunSpec{Trials: 1, Starts: []int32{99}, MaxRounds: 10}, nil},
+		{"seeds length", GroupedRunSpec{Trials: 2, Starts: []int32{0}, MaxRounds: 10, Seeds: []uint64{1}}, nil},
 		{"seeds and place", GroupedRunSpec{Trials: 1, Starts: []int32{0}, MaxRounds: 10,
-			Seeds: []uint64{1}, Place: func(int, *rng.Source, []int32) {}}},
+			Seeds: []uint64{1}, Place: func(int, *rng.Source, []int32) {}}, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := eng.RunGrouped(c.spec, cov); err == nil {
+			obs := c.obs
+			if obs == nil {
+				obs = cov
+			}
+			if _, err := eng.RunGrouped(c.spec, obs); err == nil {
 				t.Fatalf("expected error for %s", c.name)
 			}
 		})
@@ -444,64 +451,40 @@ func TestGroupedPartialTargetExportExact(t *testing.T) {
 	}
 }
 
-// TestGroupedRoundsBoundary pins the MaxGroupedRounds edge exactly: a
-// budget of MaxGroupedRounds (2^31-1, the last uint32-representable round
-// under the ^0 sentinel) is accepted by RunGrouped, while 2^31 is rejected
-// and must be served by the sequential fallback. The estimator gates are
-// checked on both sides: at the cap the grouped path runs, one past it the
-// sequential MonteCarlo path runs, and because these trials finish far
-// below either budget the two must produce identical estimates.
+// TestGroupedRoundsBoundary pins that the grouped driver has no round
+// cap: budgets at 2^31-1, 2^31 and 2^40 all run grouped, and because these
+// trials finish far below any of them, the cover, hitting and meeting
+// estimates must be identical across the three.
 func TestGroupedRoundsBoundary(t *testing.T) {
 	g := graph.Complete(12, false)
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	cov := NewGroupCoverObserver(0)
-	spec := GroupedRunSpec{Trials: 2, Starts: []int32{0, 0}, Seed: 5, MaxRounds: MaxGroupedRounds}
-	if _, err := eng.RunGrouped(spec, cov); err != nil {
-		t.Fatalf("budget at MaxGroupedRounds rejected: %v", err)
+	for _, budget := range []int64{1<<31 - 1, 1 << 31, 1 << 40} {
+		spec := GroupedRunSpec{Trials: 2, Starts: []int32{0, 0}, Seed: 5, MaxRounds: budget}
+		if _, err := eng.RunGrouped(spec, NewGroupCoverObserver(0)); err != nil {
+			t.Fatalf("budget %d rejected: %v", budget, err)
+		}
 	}
-	spec.MaxRounds = MaxGroupedRounds + 1 // == 1<<31
-	if _, err := eng.RunGrouped(spec, NewGroupCoverObserver(0)); err == nil {
-		t.Fatal("budget of 1<<31 accepted by the grouped driver")
+	type estimates struct{ cover, hit, meet Estimate }
+	estimate := func(budget int64) estimates {
+		opts := MCOptions{Trials: 6, Workers: 1, Seed: 9, MaxSteps: budget}
+		var e estimates
+		var err error
+		if e.cover, err = EstimateKCoverTime(g, 0, 2, opts); err != nil {
+			t.Fatal(err)
+		}
+		if e.hit, err = EstimateHittingTime(g, 0, 6, opts); err != nil {
+			t.Fatal(err)
+		}
+		if e.meet, err = EstimateKMeetingTime(g, []int32{0, 6}, opts); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	if MaxGroupedRounds+1 != int64(1)<<31 {
-		t.Fatalf("MaxGroupedRounds = %d; want 1<<31 - 1", MaxGroupedRounds)
-	}
-
-	at := MCOptions{Trials: 6, Workers: 1, Seed: 9, MaxSteps: MaxGroupedRounds}
-	past := at
-	past.MaxSteps = MaxGroupedRounds + 1
-	estAt, err := EstimateKCoverTime(g, 0, 2, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	estPast, err := EstimateKCoverTime(g, 0, 2, past)
-	if err != nil {
-		t.Fatalf("estimator with budget 1<<31 must fall back to the sequential path, got %v", err)
-	}
-	if estAt != estPast {
-		t.Fatalf("cover estimate differs across the boundary: grouped %+v, sequential %+v", estAt, estPast)
-	}
-	hitAt, err := EstimateHittingTime(g, 0, 6, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitPast, err := EstimateHittingTime(g, 0, 6, past)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hitAt != hitPast {
-		t.Fatalf("hitting estimate differs across the boundary: grouped %+v, sequential %+v", hitAt, hitPast)
-	}
-	meetAt, err := EstimateKMeetingTime(g, []int32{0, 6}, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meetPast, err := EstimateKMeetingTime(g, []int32{0, 6}, past)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meetAt != meetPast {
-		t.Fatalf("meeting estimate differs across the boundary: grouped %+v, sequential %+v", meetAt, meetPast)
+	want := estimate(1<<31 - 1)
+	for _, budget := range []int64{1 << 31, 1 << 40} {
+		if got := estimate(budget); got != want {
+			t.Fatalf("budget %d changed finished-trial estimates: %+v != %+v", budget, got, want)
+		}
 	}
 }
 
@@ -587,5 +570,80 @@ func TestGroupedStartsForSeeds(t *testing.T) {
 		StartsFor: func(_ int, dst []int32) { dst[0] = int32(n) },
 	}, NewGroupCoverObserver(0)); err == nil {
 		t.Fatal("out-of-range StartsFor placement accepted")
+	}
+}
+
+// TestGroupedCoverCrossesEpochs shrinks the cover lanes' epoch span so
+// trials rebase many times, then pins every trial's rounds, stop flag and
+// final count against the sequential engine (and, for the uniform kernel,
+// the independent replay) bit for bit: on the fused pair path (uniform,
+// k >= 8), the generic path (k < 8) and non-uniform kernels, at Workers 1
+// and 2, for full-cover, partial-target and budget-censored lanes.
+func TestGroupedCoverCrossesEpochs(t *testing.T) {
+	defer func(span int64) { coverEpochSpan = span }(coverEpochSpan)
+	g := graph.Cycle(48)
+	hopper, err := ParseKernel("hopper:power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		kern Kernel
+		k    int
+	}{
+		{"fused", Uniform(), 9},
+		{"generic", Uniform(), 3},
+		{"lazy", Lazy(0.5), 3},
+		{"hopper", hopper, 3},
+	}
+	const trials, seed = 12, 31
+	for _, span := range []int64{5, 100} {
+		coverEpochSpan = span
+		for _, c := range cases {
+			eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: c.kern})
+			starts := commonStarts(0, c.k)
+			for _, target := range []int{0, 40} {
+				for _, budget := range []int64{1 << 16, 300} {
+					for _, workers := range []int{1, 2} {
+						name := fmt.Sprintf("span%d/%s/target%d/budget%d/w%d", span, c.name, target, budget, workers)
+						cov := NewGroupCoverObserver(target)
+						got, err := eng.RunGrouped(GroupedRunSpec{
+							Trials: trials, Starts: starts, Seed: seed, MaxRounds: budget, Workers: workers,
+						}, cov)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for i := 0; i < trials; i++ {
+							engineSeed := rng.NewStream(seed, uint64(i)).Uint64()
+							want := eng.KCover(starts, engineSeed, budget)
+							if target > 0 {
+								want = eng.KCoverTarget(starts, target, engineSeed, budget)
+							}
+							if got.Rounds[i] != want.Steps || got.Stopped[i] != want.Covered {
+								t.Fatalf("%s trial %d: grouped (%d,%v) != sequential (%d,%v)",
+									name, i, got.Rounds[i], got.Stopped[i], want.Steps, want.Covered)
+							}
+							first := eng.KFirstVisits(starts, engineSeed, got.Rounds[i])
+							count := 0
+							for _, f := range first {
+								if f >= 0 {
+									count++
+								}
+							}
+							if cov.TrialCount(i) != count {
+								t.Fatalf("%s trial %d: count %d != sequential %d", name, i, cov.TrialCount(i), count)
+							}
+							if c.kern == Uniform() && target == 0 {
+								_, cover, covered := replayReference(t, eng, starts, engineSeed, budget)
+								if covered != got.Stopped[i] || (covered && cover != got.Rounds[i]) {
+									t.Fatalf("%s trial %d: grouped (%d,%v) != replay (%d,%v)",
+										name, i, got.Rounds[i], got.Stopped[i], cover, covered)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

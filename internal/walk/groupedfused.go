@@ -399,7 +399,7 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 		cnt = singleRoundFast(pad, first, pos, res, streams, base, shift, t, cnt)
 		if cnt >= target {
 			cov.counts[sl] = cnt
-			cov.done[sl] = int64(t)
+			cov.done[sl] = cov.base[sl] + int64(t)
 			return
 		}
 	}
@@ -417,7 +417,7 @@ func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
 // exact crossing round from the lane's first-visit cells: the smallest
 // round in (tlo, thi] at which the running distinct count reached the
 // target. Counts are monotone, so the crossing pass is always the pass
-// that detects it.
+// that detects it. tlo and thi are relative to the lane's epoch base.
 func (cov *GroupCoverObserver) resolveCrossings(loLane, hiLane int, tlo, thi uint32) {
 	for ln := loLane; ln < hiLane; ln++ {
 		s := cov.laneOff[ln]
@@ -440,7 +440,7 @@ func (cov *GroupCoverObserver) resolveCrossings(loLane, hiLane int, tlo, thi uin
 		for j := 0; j < span; j++ {
 			run += at[j]
 			if int(run) >= cov.target {
-				cov.done[s] = int64(tlo) + int64(j) + 1
+				cov.done[s] = cov.base[s] + int64(tlo) + int64(j) + 1
 				break
 			}
 		}
@@ -494,7 +494,12 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 			if b > maxRounds-t0 {
 				b = maxRounds - t0
 			}
-			e.laneGroup(gst, cov, ln, sl, uint32(t0), int(b/2), b%2 == 1)
+			// Epoch rebases happen here, between draw groups, so the hot
+			// loops only ever see in-epoch uint32 rounds.
+			if t0+b-cov.base[sl] > coverEpochSpan {
+				cov.rebaseLane(sl, t0)
+			}
+			e.laneGroup(gst, cov, ln, sl, uint32(t0-cov.base[sl]), int(b/2), b%2 == 1)
 		}
 		trial := int(gst.laneTrial[ln])
 		if s := cov.done[sl]; s >= 0 {

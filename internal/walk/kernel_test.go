@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,9 +290,78 @@ func TestEngineKernelMatchesReplay(t *testing.T) {
 	}
 }
 
+// refKernelStep samples one step of kern from pos through a shared
+// rng.Source, straight from the reference law: inverse CDF over
+// TransitionProbs, or for no-backtrack (no vertex chain) the "d-1 slots,
+// patch the collision" rule with prev the walker's previous vertex (-1
+// before its first step). It shares no tables and no draw discipline with
+// the engine, which is what makes it a statistical oracle.
+func refKernelStep(t *testing.T, g *graph.Graph, kern Kernel, pos, prev int32, r *rng.Source) int32 {
+	if _, ok := kern.(noBacktrackKernel); ok {
+		nb := g.Neighbors(pos)
+		d := len(nb)
+		switch {
+		case d == 1:
+			return nb[0]
+		case prev < 0:
+			return nb[r.Intn(d)]
+		}
+		i := r.Intn(d - 1)
+		if nb[i] == prev {
+			i = d - 1
+		}
+		return nb[i]
+	}
+	outs, probs, err := kern.TransitionProbs(g, pos)
+	if err != nil {
+		t.Fatalf("%s at %d: %v", kern, pos, err)
+	}
+	x := r.Float64()
+	for i, p := range probs {
+		if x < p {
+			return outs[i]
+		}
+		x -= p
+	}
+	return outs[len(outs)-1] // numerical residue
+}
+
+// refKernelKCover runs the reference k-walk to full cover (or maxRounds).
+func refKernelKCover(t *testing.T, g *graph.Graph, kern Kernel, starts []int32, r *rng.Source, maxRounds int64) CoverResult {
+	seen := make([]bool, g.N())
+	count := 0
+	pos := slices.Clone(starts)
+	prev := make([]int32, len(starts))
+	for i, s := range starts {
+		prev[i] = -1
+		if !seen[s] {
+			seen[s] = true
+			count++
+		}
+	}
+	if count == g.N() {
+		return CoverResult{Covered: true}
+	}
+	for tt := int64(1); tt <= maxRounds; tt++ {
+		for i, p := range pos {
+			np := refKernelStep(t, g, kern, p, prev[i], r)
+			prev[i], pos[i] = p, np
+			if !seen[np] {
+				seen[np] = true
+				count++
+			}
+		}
+		if count == g.N() {
+			return CoverResult{Steps: tt, Covered: true}
+		}
+	}
+	return CoverResult{Steps: maxRounds}
+}
+
 // TestEngineKernelMatchesLegacyStats checks, per kernel, that the engine's
-// compiled sampler and the legacy shared-RNG loop simulate the same chain:
-// their mean k-walk cover times must agree within Monte Carlo error.
+// compiled sampler and the shared-RNG reference loop (refKernelKCover)
+// simulate the same chain: their mean k-walk cover times must agree
+// within Monte Carlo error.
 func TestEngineKernelMatchesLegacyStats(t *testing.T) {
 	g := graph.Reweight(graph.Torus2D(6), kernelTestWeights)
 	const k, trials, budget = 4, 400, int64(1 << 20)
@@ -306,7 +376,7 @@ func TestEngineKernelMatchesLegacyStats(t *testing.T) {
 				t.Fatalf("%s: engine truncated", kern)
 			}
 			engSamples[i] = float64(res.Steps)
-			leg := KernelKCoverFromVertices(g, kern, starts, rng.NewStream(9000, uint64(i)), budget)
+			leg := refKernelKCover(t, g, kern, starts, rng.NewStream(9000, uint64(i)), budget)
 			if !leg.Covered {
 				t.Fatalf("%s: legacy truncated", kern)
 			}

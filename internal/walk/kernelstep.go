@@ -29,8 +29,7 @@ package walk
 //	                   unset) or [0, d-1) afterwards (redraws take fresh
 //	                   x); in the latter case, landing on prev's slot
 //	                   swaps in the last neighbor, i.e. the classic
-//	                   "sample d-1 slots, patch the collision" scheme the
-//	                   legacy NBWalker uses.
+//	                   "sample d-1 slots, patch the collision" scheme.
 
 // stepRoundLazyPad advances one lazy round in padded mode.
 func (e *Engine) stepRoundLazyPad(st *runState, lo, hi int) {

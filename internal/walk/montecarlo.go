@@ -52,17 +52,9 @@ func (o MCOptions) normalized() (MCOptions, error) {
 // results are reproducible regardless of worker count or scheduling.
 // Workers drain a shared channel of trial indices (a fixed-size pool in the
 // Effective Go style); each result is written to a distinct slice slot, so
-// no locking is needed.
+// no locking is needed. It is the driver for trials that are not k-walks on
+// a static graph; every estimator in this package runs on RunGrouped.
 func MonteCarlo(opts MCOptions, fn func(trial int, r *rng.Source) float64) ([]float64, error) {
-	return monteCarloFrom(opts, 0, fn)
-}
-
-// monteCarloFrom is MonteCarlo over trials [base, base+opts.Trials) of the
-// global schedule: fn receives the global trial index and the stream
-// rng.NewStream(Seed, globalTrial); results stay locally indexed. It is
-// the sequential-path counterpart of GroupedRunSpec.TrialBase, used by the
-// adaptive driver's over-budget fallback waves.
-func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) float64) ([]float64, error) {
 	opts, err := opts.normalized()
 	if err != nil {
 		return nil, err
@@ -71,12 +63,10 @@ func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) 
 	// The channel is buffered to Trials and filled (and closed) before any
 	// worker starts: the producer never blocks, workers never wait on a
 	// handoff, and tiny-trial runs skip the producer/consumer context
-	// switches an unbuffered channel would cost per trial. Result ordering
-	// and stream derivation are unchanged — trial t still runs on
-	// rng.NewStream(Seed, t) and writes results[t-base].
+	// switches an unbuffered channel would cost per trial.
 	trials := make(chan int, opts.Trials)
 	for t := 0; t < opts.Trials; t++ {
-		trials <- base + t
+		trials <- t
 	}
 	close(trials)
 	var wg sync.WaitGroup
@@ -85,7 +75,7 @@ func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) 
 		go func() {
 			defer wg.Done()
 			for t := range trials {
-				results[t-base] = fn(t, rng.NewStream(opts.Seed, uint64(t)))
+				results[t] = fn(t, rng.NewStream(opts.Seed, uint64(t)))
 			}
 		}()
 	}
@@ -126,54 +116,35 @@ func (e Estimate) Mean() float64 { return e.Summary.Mean }
 // CI95 is shorthand for Summary.CI95().
 func (e Estimate) CI95() float64 { return e.Summary.CI95() }
 
-// runCoverTrials runs opts.Trials independent k-walk cover runs on eng —
-// trial-fused through RunGrouped when the budget allows, else sequentially
-// through MonteCarlo with the identical stream derivation — and returns
-// every trial's (rounds, covered) outcome. target 0 selects full cover.
-// The two paths are bit-for-bit interchangeable (pinned by
-// TestFusedMatchesSequentialTrials). With Precision enabled the same
-// trials run in adaptive waves instead (each wave a TrialBase-offset pass
-// of the identical global schedule), so every trial that does run is
-// bit-for-bit the fixed path's trial.
-func runCoverTrials(eng *Engine, opts MCOptions, starts []int32, target int, place func(int, *rng.Source, []int32)) (GroupedResult, error) {
+// runTrials runs opts.Trials independent k-walk trials of spec's shape
+// (Starts, Place) through obs as trial-fused RunGrouped passes, with the
+// seed, budget and workers taken from opts. With Precision enabled the
+// same trials run in adaptive waves instead — each wave a
+// TrialBase-offset pass of the identical global schedule — so every trial
+// that does run is bit-for-bit the fixed path's trial. wave, when non-nil,
+// sees each pass's outcome while obs still holds that pass's per-trial
+// outputs.
+func runTrials(eng *Engine, opts MCOptions, spec GroupedRunSpec, obs GroupObserver, wave func(GroupedResult)) (GroupedResult, error) {
+	spec.Seed, spec.MaxRounds, spec.Workers = opts.Seed, opts.MaxSteps, opts.Workers
 	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Place:     place,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupCoverObserver(target))
+		spec.Trials, spec.TrialBase = count, base
+		res, err := eng.RunGrouped(spec, obs)
+		if err == nil && wave != nil {
+			wave(res)
 		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			st := starts
-			if place != nil {
-				st = make([]int32, len(starts))
-				copy(st, starts)
-				place(t, r, st)
-			}
-			var cr CoverResult
-			if target == 0 {
-				cr = eng.KCover(st, r.Uint64(), opts.MaxSteps)
-			} else {
-				cr = eng.KCoverTarget(st, target, r.Uint64(), opts.MaxSteps)
-			}
-			res.Rounds[t-base] = cr.Steps
-			res.Stopped[t-base] = cr.Covered
-			return 0
-		})
 		return res, err
 	}
 	if !opts.Precision.Enabled() {
 		return run(0, opts.Trials)
 	}
 	return adaptiveTrials(opts, run)
+}
+
+// runCoverTrials runs k-walk cover trials from starts (or place's
+// per-trial placement) until target distinct vertices are visited; target
+// 0 selects full cover.
+func runCoverTrials(eng *Engine, opts MCOptions, starts []int32, target int, place func(int, *rng.Source, []int32)) (GroupedResult, error) {
+	return runTrials(eng, opts, GroupedRunSpec{Starts: starts, Place: place}, NewGroupCoverObserver(target), nil)
 }
 
 // EstimateFromTrials summarizes per-trial rounds with truncation
@@ -210,8 +181,24 @@ func EstimateCoverTime(g *graph.Graph, start int32, opts MCOptions) (Estimate, e
 // bit-for-bit equal to a sequential Engine run with the MonteCarlo stream
 // derivation.
 func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Estimate, error) {
+	return EstimateKernelKCoverTime(g, Uniform(), start, k, opts)
+}
+
+// EstimateKernelCoverTime estimates the expected single-walk cover time
+// from start under kernel k, on the batched engine.
+func EstimateKernelCoverTime(g *graph.Graph, k Kernel, start int32, opts MCOptions) (Estimate, error) {
+	return EstimateKernelKCoverTime(g, k, start, 1, opts)
+}
+
+// EstimateKernelKCoverTime estimates the expected k-walk cover time (in
+// rounds) from a common start vertex under kernel kern.
+func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
+	}
+	kern = KernelOrUniform(kern)
+	if err := kern.Validate(g); err != nil {
+		return Estimate{}, err
 	}
 	if !g.IsConnected() {
 		return Estimate{}, fmt.Errorf("walk: cover time diverges on disconnected graphs")
@@ -223,12 +210,22 @@ func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Est
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	// Trials fuse into grouped passes (the generic lane driver steps every
+	// kernel; uniform pad-table graphs take the pair-table fast path).
+	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: kern})
 	res, err := runCoverTrials(eng, opts, commonStarts(start, k), 0, nil)
 	if err != nil {
 		return Estimate{}, err
 	}
 	return EstimateFromTrials(res), nil
+}
+
+// EstimateNBCoverTime estimates the expected cover time of k synchronized
+// non-backtracking walkers from start — each step picks uniformly among
+// the neighbors other than the one just left, backtracking only at
+// degree-1 vertices. It is EstimateKernelKCoverTime with NoBacktrack.
+func EstimateNBCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Estimate, error) {
+	return EstimateKernelKCoverTime(g, NoBacktrack(), start, k, opts)
 }
 
 // EstimateKCoverTimeStationary estimates the k-walk cover time with the k
@@ -263,6 +260,17 @@ func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estima
 // graphs. Trials run as one trial-fused engine pass of single-walker
 // lanes.
 func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (Estimate, error) {
+	return EstimateKernelHittingTime(g, Uniform(), start, target, opts)
+}
+
+// EstimateKernelHittingTime estimates h(start, target) under kernel k by
+// simulation; the kernel cross-validation tests compare it against the
+// absorbing-chain expectation of markov.ChainForKernel.
+func EstimateKernelHittingTime(g *graph.Graph, k Kernel, start, target int32, opts MCOptions) (Estimate, error) {
+	k = KernelOrUniform(k)
+	if err := k.Validate(g); err != nil {
+		return Estimate{}, err
+	}
 	if !g.IsConnected() {
 		return Estimate{}, fmt.Errorf("walk: hitting time diverges on disconnected graphs")
 	}
@@ -273,7 +281,7 @@ func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (E
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: k})
 	marked := make([]bool, g.N())
 	marked[target] = true
 	res, err := runHitTrials(eng, opts, []int32{start}, marked)
@@ -285,32 +293,7 @@ func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (E
 
 // runHitTrials is runCoverTrials' counterpart for marked-vertex searches.
 func runHitTrials(eng *Engine, opts MCOptions, starts []int32, marked []bool) (GroupedResult, error) {
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupHitObserver(marked))
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			hr := eng.KHit(starts, marked, r.Uint64(), opts.MaxSteps)
-			res.Rounds[t-base] = hr.Rounds
-			res.Stopped[t-base] = hr.Hit
-			return 0
-		})
-		return res, err
-	}
-	if !opts.Precision.Enabled() {
-		return run(0, opts.Trials)
-	}
-	return adaptiveTrials(opts, run)
+	return runTrials(eng, opts, GroupedRunSpec{Starts: starts}, NewGroupHitObserver(marked), nil)
 }
 
 // CoverTimeTail estimates Pr[τ > t] for the provided horizon t by running

@@ -4,55 +4,56 @@ import (
 	"testing"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 )
+
+// The non-backtracking walk runs on the engine's NoBacktrack kernel; these
+// tests pin its step law through recorded trajectories.
 
 func TestNBWalkerNeverBacktracks(t *testing.T) {
 	g := graph.Torus2D(5) // degree 4 everywhere: backtracking never forced
-	w := NewNBWalker(g, 0, rng.New(1))
-	prev := w.Pos()
-	cur := w.Step()
-	for i := 0; i < 5000; i++ {
-		next := w.Step()
-		if next == prev {
-			t.Fatalf("backtracked %d -> %d -> %d at step %d", prev, cur, next, i)
+	path := enginePaths(t, g, NoBacktrack(), []int32{0}, 1, 5000)[0]
+	for i := 2; i < len(path); i++ {
+		if path[i] == path[i-2] {
+			t.Fatalf("backtracked %d -> %d -> %d at step %d", path[i-2], path[i-1], path[i], i)
 		}
-		if !g.HasEdge(cur, next) {
-			t.Fatalf("illegal move %d -> %d", cur, next)
+		if !g.HasEdge(path[i-1], path[i]) {
+			t.Fatalf("illegal move %d -> %d", path[i-1], path[i])
 		}
-		prev, cur = cur, next
 	}
 }
 
 func TestNBWalkerDegreeOneFallsBack(t *testing.T) {
 	// On a path the endpoints force a reversal.
 	g := graph.Path(3)
-	w := NewNBWalker(g, 1, rng.New(2))
-	first := w.Step() // to 0 or 2
-	second := w.Step()
-	if second != 1 {
-		t.Fatalf("endpoint must bounce back to 1, got %d (via %d)", second, first)
+	for seed := uint64(0); seed < 16; seed++ {
+		path := enginePaths(t, g, NoBacktrack(), []int32{1}, seed, 2)[0]
+		if path[2] != 1 {
+			t.Fatalf("endpoint must bounce back to 1, got %d (via %d)", path[2], path[1])
+		}
 	}
 }
 
 func TestNBWalkerUniformAmongAllowed(t *testing.T) {
-	// At a degree-4 vertex with a known previous vertex, the three allowed
-	// neighbors must be equally likely.
+	// At a degree-4 vertex entered from a known previous vertex, the three
+	// allowed next neighbors must be equally likely: condition the second
+	// step on the first having gone to 0's first neighbor.
 	g := graph.Torus2D(5)
+	from := g.Neighbors(0)[0]
 	counts := map[int32]int{}
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		w := NewNBWalker(g, 0, rng.NewStream(3, uint64(i)))
-		w.prev = g.Neighbors(0)[0] // pretend we came from the first neighbor
-		counts[w.Step()]++
+	total := 0
+	for _, path := range enginePaths(t, g, NoBacktrack(), make([]int32, 40000), 3, 2) {
+		if path[1] == from {
+			counts[path[2]]++
+			total++
+		}
 	}
 	if len(counts) != 3 {
 		t.Fatalf("allowed targets %d, want 3", len(counts))
 	}
 	for v, c := range counts {
-		frac := float64(c) / trials
+		frac := float64(c) / float64(total)
 		if frac < 0.30 || frac > 0.37 {
-			t.Fatalf("neighbor %d frequency %.3f", v, frac)
+			t.Fatalf("neighbor %d frequency %.3f over %d samples", v, frac, total)
 		}
 	}
 }
@@ -61,9 +62,9 @@ func TestNBCoverCycleIsBallistic(t *testing.T) {
 	// On the cycle the non-backtracking walk commits to a direction and
 	// covers in exactly n-1 steps, versus Θ(n²) for the simple walk.
 	n := 64
-	g := graph.Cycle(n)
-	for trial := 0; trial < 20; trial++ {
-		res := NBCoverFrom(g, 0, rng.NewStream(5, uint64(trial)), 1<<20)
+	eng := NewEngine(graph.Cycle(n), EngineOptions{Kernel: NoBacktrack()})
+	for trial := uint64(0); trial < 20; trial++ {
+		res := eng.KCoverFrom(0, 1, trial, 1<<20)
 		if !res.Covered || res.Steps != int64(n-1) {
 			t.Fatalf("NB cycle cover %+v, want exactly %d", res, n-1)
 		}
@@ -118,5 +119,5 @@ func TestNBValidation(t *testing.T) {
 			t.Fatal("no panic for bad start")
 		}
 	}()
-	NewNBWalker(g, 9, rng.New(1))
+	NewEngine(g, EngineOptions{Kernel: NoBacktrack()}).KCoverFrom(9, 1, 1, 10)
 }

@@ -2,49 +2,17 @@ package walk
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 	"manywalks/internal/stats"
 )
 
-// PartialCoverFrom runs a k-walk from start until a fraction alpha of the
-// vertices has been visited (α=1 is full cover). The paper's linear-speed-up
-// proofs hinge on the last few vertices dominating the cover time; partial
-// cover times expose that structure directly.
-func PartialCoverFrom(g *graph.Graph, start int32, k int, alpha float64, r *rng.Source, maxRounds int64) CoverResult {
-	if alpha <= 0 || alpha > 1 {
-		panic("walk: alpha must be in (0,1]")
-	}
-	n := g.N()
-	target := int(alpha * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	seen := newVisitSet(n)
-	pos := make([]int32, k)
-	for i := range pos {
-		pos[i] = start
-	}
-	if seen.visit(start) >= target {
-		return CoverResult{Steps: 0, Covered: true}
-	}
-	for t := int64(1); t <= maxRounds; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			np := nb[r.Intn(len(nb))]
-			pos[i] = np
-			if seen.visit(np) >= target {
-				return CoverResult{Steps: t, Covered: true}
-			}
-		}
-	}
-	return CoverResult{Steps: maxRounds, Covered: false}
-}
-
 // EstimatePartialCoverTime estimates the expected α-partial k-walk cover
-// time from start.
+// time from start: the round a fraction alpha of the vertices (count
+// target max(1, ⌊α·n⌋)) has been visited; α=1 is full cover. The paper's
+// linear-speed-up proofs hinge on the last few vertices dominating the
+// cover time, and partial cover times expose that structure directly.
 func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
@@ -58,166 +26,16 @@ func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64,
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
-	n := g.N()
-	target := int(alpha * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	starts := make([]int32, k)
-	for i := range starts {
-		starts[i] = start
-	}
-	var mu sync.Mutex
-	truncated := 0
-	samples, err := MonteCarlo(opts, func(_ int, r *rng.Source) float64 {
-		res := eng.KCoverTarget(starts, target, r.Uint64(), opts.MaxSteps)
-		if !res.Covered {
-			mu.Lock()
-			truncated++
-			mu.Unlock()
-		}
-		return float64(res.Steps)
-	})
+	opts, err := opts.normalized()
 	if err != nil {
 		return Estimate{}, err
 	}
-	return Estimate{Summary: stats.Summarize(samples), Truncated: truncated}, nil
-}
-
-// LastVertexFrom runs a single walk to full cover and returns the identity
-// of the last vertex covered (and the cover time). The distribution of the
-// last vertex concentrates on the far side of the start — the structure
-// Matthews-style arguments exploit.
-func LastVertexFrom(g *graph.Graph, start int32, r *rng.Source, maxSteps int64) (last int32, steps int64, covered bool) {
-	n := g.N()
-	seen := newVisitSet(n)
-	seen.visit(start)
-	last = start
-	if seen.count == n {
-		return last, 0, true
+	eng := NewEngine(g, EngineOptions{Workers: 1})
+	res, err := runCoverTrials(eng, opts, commonStarts(start, k), thresholdTarget(alpha, g.N()), nil)
+	if err != nil {
+		return Estimate{}, err
 	}
-	w := NewWalker(g, start, r)
-	for t := int64(1); t <= maxSteps; t++ {
-		v := w.Step()
-		before := seen.count
-		if seen.visit(v) != before {
-			last = v
-			if seen.count == n {
-				return last, t, true
-			}
-		}
-	}
-	return last, maxSteps, false
-}
-
-// MeetingTimeFrom runs two independent walks from u and v stepping in
-// synchronized rounds and returns the first round at which they occupy the
-// same vertex (checked after both have moved). The hunter/prey pursuit of
-// the paper's introduction is exactly this process. On bipartite graphs
-// walks started on opposite sides can never meet on-node under simultaneous
-// moves; callers handle the truncation.
-func MeetingTimeFrom(g *graph.Graph, u, v int32, r *rng.Source, maxRounds int64) (int64, bool) {
-	if u == v {
-		return 0, true
-	}
-	a := NewWalker(g, u, r)
-	b := NewWalker(g, v, r)
-	for t := int64(1); t <= maxRounds; t++ {
-		if a.Step() == b.Step() {
-			return t, true
-		}
-	}
-	return maxRounds, false
-}
-
-// KMeetingFromVertices is the legacy per-walker reference loop for the
-// k-walk meeting time: all walkers step through one shared rng.Source and
-// the first round any two occupy the same vertex is returned (duplicate
-// starts meet at round 0). It is the statistical baseline the engine's
-// CollisionObserver is validated against; estimators run on
-// Engine.KMeetingTime.
-func KMeetingFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (int64, bool) {
-	coal, _, _ := legacyCollisionLoop(g, starts, r, maxRounds, true)
-	return coal.round, coal.ok
-}
-
-// KCoalescenceFromVertices is the legacy reference loop for the k-walk
-// coalescence time under the union-of-meetings relation: walkers that have
-// once shared a vertex merge into one class, and the loop reports the
-// round the classes collapse to one, plus the first meeting round of the
-// same trajectory.
-func KCoalescenceFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (coalesce int64, meet int64, ok bool) {
-	res, firstMeet, _ := legacyCollisionLoop(g, starts, r, maxRounds, false)
-	return res.round, firstMeet, res.ok
-}
-
-type legacyCollision struct {
-	round int64
-	ok    bool
-}
-
-// legacyCollisionLoop shares the meeting/coalescence bookkeeping of the two
-// legacy loops above. With stopAtMeet the loop returns at the first
-// collision; otherwise it runs to full coalescence.
-func legacyCollisionLoop(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64, stopAtMeet bool) (legacyCollision, int64, int) {
-	k := len(starts)
-	if k < 2 {
-		panic("walk: collision loop requires at least 2 walkers")
-	}
-	parent := make([]int, k)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(i int) int
-	find = func(i int) int {
-		if parent[i] != i {
-			parent[i] = find(parent[i])
-		}
-		return parent[i]
-	}
-	groups := k
-	firstMeet := int64(-1)
-	at := make(map[int32]int, k)
-	observe := func(t int64, pos []int32) (done bool) {
-		clear(at)
-		for i, p := range pos {
-			j, hit := at[p]
-			if !hit {
-				at[p] = i
-				continue
-			}
-			if firstMeet < 0 {
-				firstMeet = t
-			}
-			if ra, rb := find(j), find(i); ra != rb {
-				if ra > rb {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-				groups--
-			}
-		}
-		if stopAtMeet {
-			return firstMeet >= 0
-		}
-		return groups == 1
-	}
-	pos := make([]int32, k)
-	copy(pos, starts)
-	if observe(0, pos) {
-		return legacyCollision{0, true}, firstMeet, groups
-	}
-	for t := int64(1); t <= maxRounds; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			pos[i] = nb[r.Intn(len(nb))]
-		}
-		if observe(t, pos) {
-			return legacyCollision{t, true}, firstMeet, groups
-		}
-	}
-	return legacyCollision{maxRounds, false}, firstMeet, groups
+	return EstimateFromTrials(res), nil
 }
 
 // EstimateMeetingTime estimates the expected meeting round of two walks on
@@ -245,40 +63,7 @@ func EstimateKMeetingTime(g *graph.Graph, starts []int32, opts MCOptions) (Estim
 		return Estimate{}, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	// Trial-fused pass: every trial is one collision lane. Over-budget
-	// horizons fall back to sequential engine runs with the identical
-	// stream derivation.
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupCollisionObserver(false))
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			mr, err := eng.KMeetingTime(starts, r.Uint64(), opts.MaxSteps)
-			if err != nil {
-				panic(err.Error()) // validated above; unreachable
-			}
-			res.Rounds[t-base] = mr.Rounds
-			res.Stopped[t-base] = mr.Met
-			return 0
-		})
-		return res, err
-	}
-	var res GroupedResult
-	if opts.Precision.Enabled() {
-		res, err = adaptiveTrials(opts, run)
-	} else {
-		res, err = run(0, opts.Trials)
-	}
+	res, err := runTrials(eng, opts, GroupedRunSpec{Starts: starts}, NewGroupCollisionObserver(false), nil)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -303,73 +88,24 @@ func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (c
 		return Estimate{}, Estimate{}, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	// Trial-fused pass: coalescence lanes also record each trial's first
-	// meeting round, so both estimates come from the same fused run. The
-	// run closure appends each wave's meeting rounds in trial order (waves
-	// run sequentially), so the meet estimate covers exactly the trials
-	// the adaptive stop — which watches the coalescence samples — ran.
+	// Coalescence lanes also record each trial's first meeting round, so
+	// both estimates come from the same fused run. Waves run sequentially
+	// and append their meeting rounds in trial order, so the meet estimate
+	// covers exactly the trials the adaptive stop — which watches the
+	// coalescence samples — ran.
+	col := NewGroupCollisionObserver(true)
 	var meets []float64
 	meetTruncated := 0
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			col := NewGroupCollisionObserver(true)
-			res, err := eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, col)
-			if err != nil {
-				return GroupedResult{}, err
-			}
-			for trial := 0; trial < count; trial++ {
-				m := col.TrialMeetRound(trial)
-				if m < 0 {
-					m = opts.MaxSteps
-					meetTruncated++
-				}
-				meets = append(meets, float64(m))
-			}
-			return res, nil
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		waveMeets := make([]float64, count)
-		waveTrunc := make([]bool, count)
-		wopts := opts
-		wopts.Trials = count
-		if _, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			cr, err := eng.KCoalescenceTime(starts, r.Uint64(), opts.MaxSteps)
-			if err != nil {
-				panic(err.Error()) // validated above; unreachable
-			}
-			m := cr.FirstMeeting
+	res, err := runTrials(eng, opts, GroupedRunSpec{Starts: starts}, col, func(wave GroupedResult) {
+		for trial := range wave.Rounds {
+			m := col.TrialMeetRound(trial)
 			if m < 0 {
 				m = opts.MaxSteps
-				waveTrunc[t-base] = true
-			}
-			waveMeets[t-base] = float64(m)
-			res.Rounds[t-base] = cr.Rounds
-			res.Stopped[t-base] = cr.Coalesced
-			return 0
-		}); err != nil {
-			return GroupedResult{}, err
-		}
-		meets = append(meets, waveMeets...)
-		for _, tr := range waveTrunc {
-			if tr {
 				meetTruncated++
 			}
+			meets = append(meets, float64(m))
 		}
-		return res, nil
-	}
-	var res GroupedResult
-	if opts.Precision.Enabled() {
-		res, err = adaptiveTrials(opts, run)
-	} else {
-		res, err = run(0, opts.Trials)
-	}
+	})
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
@@ -379,8 +115,15 @@ func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (c
 
 // MeanPartialCoverRounds estimates, per cover fraction, the expected round
 // the k-walk from start first reaches it — the whole partial-cover curve
-// from single runs. Fractions not reached within MaxSteps are censored at
-// MaxSteps and counted in that fraction's Truncated.
+// from single runs. Fraction α maps to the count target max(1, ⌊α·n⌋),
+// and each trial stops at its largest target; the smaller fractions' rounds
+// are read off the trial's first-visit rounds, so each sample equals the
+// EstimatePartialCoverTime sample of the same trial. Fractions not reached
+// within MaxSteps are censored at MaxSteps and counted in that fraction's
+// Truncated. With Precision enabled the stop rule watches the largest
+// fraction's samples and every fraction reports those same trials (the
+// EstimateKCoalescenceTime pattern). First-visit export limits MaxSteps to
+// 2^31-1 rounds.
 func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []float64, opts MCOptions) ([]Estimate, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("walk: k must be >= 1")
@@ -394,74 +137,59 @@ func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []floa
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return nil, err
 	}
-	for _, f := range fractions {
+	targets := make([]int, len(fractions))
+	for i, f := range fractions {
 		if !(f > 0 && f <= 1) {
 			return nil, fmt.Errorf("walk: cover fraction %v must be in (0,1]", f)
 		}
+		targets[i] = thresholdTarget(f, g.N())
+	}
+	opts, err := opts.normalized()
+	if err != nil {
+		return nil, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	starts := commonStarts(start, k)
+	cov := &GroupCoverObserver{Target: slices.Max(targets), RecordFirst: true}
 	rounds := make([][]float64, len(fractions))
-	for i := range rounds {
-		rounds[i] = make([]float64, opts.Trials)
-	}
-	var mu sync.Mutex
 	truncated := make([]int, len(fractions))
-	_, err := MonteCarlo(opts, func(trial int, r *rng.Source) float64 {
-		res, err := eng.PartialCoverCurve(starts, fractions, r.Uint64(), opts.MaxSteps)
-		if err != nil {
-			panic(err.Error()) // validated above; unreachable
-		}
-		for i, t := range res.Rounds {
-			if t < 0 {
-				t = opts.MaxSteps
-				mu.Lock()
-				truncated[i]++
-				mu.Unlock()
+	var visits []int64
+	res, err := runTrials(eng, opts, GroupedRunSpec{Starts: commonStarts(start, k)}, cov, func(wave GroupedResult) {
+		for trial := range wave.Rounds {
+			// The target-th smallest first-visit round is the round the
+			// distinct count reached target.
+			visits = visits[:0]
+			for _, f := range cov.TrialFirstVisits(trial) {
+				if f >= 0 {
+					visits = append(visits, f)
+				}
 			}
-			rounds[i][trial] = float64(t)
+			slices.Sort(visits)
+			for i, target := range targets {
+				r := opts.MaxSteps
+				if target <= len(visits) {
+					r = visits[target-1]
+				} else {
+					truncated[i]++
+				}
+				rounds[i] = append(rounds[i], float64(r))
+			}
 		}
-		return 0
 	})
 	if err != nil {
 		return nil, err
 	}
 	ests := make([]Estimate, len(fractions))
 	for i := range ests {
-		ests[i] = Estimate{Summary: stats.Summarize(rounds[i]), Truncated: truncated[i]}
+		ests[i] = Estimate{Summary: stats.Summarize(rounds[i]), Truncated: truncated[i], Waves: res.Waves, Converged: res.Converged}
 	}
 	return ests, nil
 }
 
-// CoverageProfile runs one k-walk for exactly horizon rounds and returns
-// the number of distinct vertices visited after each round (index 0 is the
-// state at t=0). Averaging profiles across trials yields the coverage curve
-// ("fraction covered vs time") whose long flat tail explains why the last
-// few vertices dominate C^k.
-func CoverageProfile(g *graph.Graph, start int32, k int, r *rng.Source, horizon int64) []int {
-	n := g.N()
-	seen := newVisitSet(n)
-	pos := make([]int32, k)
-	for i := range pos {
-		pos[i] = start
-	}
-	seen.visit(start)
-	profile := make([]int, horizon+1)
-	profile[0] = seen.count
-	for t := int64(1); t <= horizon; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			np := nb[r.Intn(len(nb))]
-			pos[i] = np
-			seen.visit(np)
-		}
-		profile[t] = seen.count
-	}
-	return profile
-}
-
-// MeanCoverageProfile averages CoverageProfile over opts.Trials trials and
-// returns the expected coverage count per round.
+// MeanCoverageProfile returns the expected number of distinct vertices the
+// k-walk from start has visited after each round up to horizon (index 0 is
+// the state at t=0), averaged over opts.Trials trials. The curve's long
+// flat tail is why the last few vertices dominate C^k. Horizons are limited
+// to 2^31-1 rounds, the range of exact first-visit export.
 func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts MCOptions) ([]float64, error) {
 	if k < 1 || horizon < 1 {
 		return nil, fmt.Errorf("walk: need k >= 1 and horizon >= 1")
@@ -469,8 +197,7 @@ func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts
 	// Each trial derives its profile from the engine's first-visit rounds:
 	// the coverage count after round t is the number of vertices whose
 	// first visit is at most t. Trials run as one trial-fused pass with
-	// first-visit recording; over-cap horizons fall back to sequential
-	// runs.
+	// first-visit recording.
 	opts.MaxSteps = horizon
 	opts, err := opts.normalized()
 	if err != nil {
@@ -490,26 +217,19 @@ func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts
 		}
 		return profile
 	}
-	profiles := make([][]int, opts.Trials)
-	if horizon <= MaxGroupedRounds {
-		cov := &GroupCoverObserver{RecordFirst: true}
-		if _, err := eng.RunGrouped(GroupedRunSpec{
-			Trials:    opts.Trials,
-			Starts:    starts,
-			Seed:      opts.Seed,
-			MaxRounds: horizon,
-			Workers:   opts.Workers,
-		}, cov); err != nil {
-			return nil, err
-		}
-		for trial := range profiles {
-			profiles[trial] = profileOf(cov.TrialFirstVisits(trial))
-		}
-	} else if _, err := MonteCarlo(opts, func(trial int, r *rng.Source) float64 {
-		profiles[trial] = profileOf(eng.KFirstVisits(starts, r.Uint64(), horizon))
-		return 0
-	}); err != nil {
+	cov := &GroupCoverObserver{RecordFirst: true}
+	if _, err := eng.RunGrouped(GroupedRunSpec{
+		Trials:    opts.Trials,
+		Starts:    starts,
+		Seed:      opts.Seed,
+		MaxRounds: horizon,
+		Workers:   opts.Workers,
+	}, cov); err != nil {
 		return nil, err
+	}
+	profiles := make([][]int, opts.Trials)
+	for trial := range profiles {
+		profiles[trial] = profileOf(cov.TrialFirstVisits(trial))
 	}
 	mean := make([]float64, horizon+1)
 	for _, p := range profiles {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 )
 
 func TestPartialCoverMonotoneInAlpha(t *testing.T) {
@@ -72,21 +71,33 @@ func TestPartialCoverValidation(t *testing.T) {
 	if _, err := EstimatePartialCoverTime(g, 0, 0, 0.5, opts); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PartialCoverFrom alpha panic missing")
+	if _, err := MeanPartialCoverRounds(g, 0, 1, []float64{0.5, -1}, opts); err == nil {
+		t.Fatal("negative fraction accepted")
+	}
+}
+
+// lastVertex returns the vertex with the latest first visit and that
+// round, or -1 if some vertex was never visited.
+func lastVertex(first []int64) (int32, int64) {
+	last, at := int32(0), int64(-1)
+	for v, f := range first {
+		if f < 0 {
+			return -1, -1
 		}
-	}()
-	PartialCoverFrom(g, 0, 1, -1, rng.New(1), 10)
+		if f > at {
+			last, at = int32(v), f
+		}
+	}
+	return last, at
 }
 
 func TestLastVertexOnPathIsFarEnd(t *testing.T) {
 	// From endpoint 0 of a path the last vertex covered is always n-1.
 	g := graph.Path(8)
-	r := rng.New(41)
-	for trial := 0; trial < 50; trial++ {
-		last, _, covered := LastVertexFrom(g, 0, r, 1<<20)
-		if !covered {
+	eng := NewEngine(g, EngineOptions{})
+	for trial := uint64(0); trial < 50; trial++ {
+		last, _ := lastVertex(eng.KFirstVisits([]int32{0}, 41+trial, 1<<20))
+		if last < 0 {
 			t.Fatal("truncated")
 		}
 		if last != 7 {
@@ -97,10 +108,10 @@ func TestLastVertexOnPathIsFarEnd(t *testing.T) {
 
 func TestLastVertexCycleNeverStart(t *testing.T) {
 	g := graph.Cycle(12)
-	r := rng.New(43)
-	for trial := 0; trial < 50; trial++ {
-		last, steps, covered := LastVertexFrom(g, 0, r, 1<<20)
-		if !covered || steps <= 0 {
+	eng := NewEngine(g, EngineOptions{})
+	for trial := uint64(0); trial < 50; trial++ {
+		last, steps := lastVertex(eng.KFirstVisits([]int32{0}, 43+trial, 1<<20))
+		if last < 0 || steps <= 0 {
 			t.Fatal("truncated or zero-step cover")
 		}
 		if last == 0 {
@@ -112,8 +123,9 @@ func TestLastVertexCycleNeverStart(t *testing.T) {
 func TestMeetingTimeBasics(t *testing.T) {
 	g := graph.Complete(16, true)
 	// Same start: meet at round 0.
-	if steps, met := MeetingTimeFrom(g, 3, 3, rng.New(1), 10); !met || steps != 0 {
-		t.Fatal("co-located walkers must meet at 0")
+	res, err := NewEngine(g, EngineOptions{}).KMeetingTime([]int32{3, 3}, 1, 10)
+	if err != nil || !res.Met || res.Rounds != 0 {
+		t.Fatalf("co-located walkers must meet at 0: %+v, %v", res, err)
 	}
 	est, err := EstimateMeetingTime(g, 0, 5, MCOptions{Trials: 2000, Seed: 45, MaxSteps: 1 << 20})
 	if err != nil {
@@ -129,34 +141,38 @@ func TestMeetingTimeBasics(t *testing.T) {
 func TestMeetingTimeBipartiteParity(t *testing.T) {
 	// Opposite sides of an even cycle: simultaneous moves preserve the
 	// parity difference, so they can never co-locate.
-	g := graph.Cycle(8)
-	_, met := MeetingTimeFrom(g, 0, 1, rng.New(47), 5000)
-	if met {
-		t.Fatal("parity-separated walkers met on a bipartite graph")
+	eng := NewEngine(graph.Cycle(8), EngineOptions{})
+	res, err := eng.KMeetingTime([]int32{0, 1}, 47, 5000)
+	if err != nil || res.Met {
+		t.Fatalf("parity-separated walkers met on a bipartite graph: %+v, %v", res, err)
 	}
 	// Same side (even distance) meets fine.
-	_, met = MeetingTimeFrom(g, 0, 2, rng.New(47), 1<<20)
-	if !met {
-		t.Fatal("same-parity walkers failed to meet")
+	res, err = eng.KMeetingTime([]int32{0, 2}, 47, 1<<20)
+	if err != nil || !res.Met {
+		t.Fatalf("same-parity walkers failed to meet: %+v, %v", res, err)
 	}
 }
 
 func TestCoverageProfileShape(t *testing.T) {
+	// One trial's profile: integral counts from 1 at t=0 up to n.
 	g := graph.Torus2D(6)
-	profile := CoverageProfile(g, 0, 4, rng.New(49), 2000)
+	profile, err := MeanCoverageProfile(g, 0, 4, 2000, MCOptions{Trials: 1, Seed: 49, MaxSteps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if profile[0] != 1 {
-		t.Fatalf("profile[0] = %d", profile[0])
+		t.Fatalf("profile[0] = %v", profile[0])
 	}
 	for i := 1; i < len(profile); i++ {
 		if profile[i] < profile[i-1] {
 			t.Fatal("coverage decreased")
 		}
-		if profile[i] > g.N() {
-			t.Fatal("coverage exceeded n")
+		if profile[i] > float64(g.N()) || profile[i] != math.Trunc(profile[i]) {
+			t.Fatalf("profile[%d] = %v is not a count in [0, n]", i, profile[i])
 		}
 	}
-	if profile[len(profile)-1] != g.N() {
-		t.Fatalf("torus(6) not covered in 2000 rounds by 4 walkers: %d", profile[len(profile)-1])
+	if profile[len(profile)-1] != float64(g.N()) {
+		t.Fatalf("torus(6) not covered in 2000 rounds by 4 walkers: %v", profile[len(profile)-1])
 	}
 }
 
@@ -182,5 +198,30 @@ func TestMeanCoverageProfileMoreWalkersFaster(t *testing.T) {
 	}
 	if _, err := MeanCoverageProfile(g, 0, 0, 10, opts); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// TestPartialCoverRoundsMatchPartialCoverTime pins MeanPartialCoverRounds'
+// first-visit readout: every fraction's estimate equals the standalone
+// EstimatePartialCoverTime estimate bit for bit (same trials, same seed
+// derivation), including fractions censored by a short budget.
+func TestPartialCoverRoundsMatchPartialCoverTime(t *testing.T) {
+	g := graph.Torus2D(6)
+	fractions := []float64{0.9, 0.3, 1}
+	for _, budget := range []int64{1 << 20, 60} {
+		opts := MCOptions{Trials: 40, Workers: 2, Seed: 53, MaxSteps: budget}
+		ests, err := MeanPartialCoverRounds(g, 0, 3, fractions, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fractions {
+			want, err := EstimatePartialCoverTime(g, 0, 3, f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ests[i] != want {
+				t.Fatalf("budget %d fraction %v: curve %+v != partial cover %+v", budget, f, ests[i], want)
+			}
+		}
 	}
 }

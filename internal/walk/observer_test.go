@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,8 +195,54 @@ func TestObserverDeterministicAcrossConfigs(t *testing.T) {
 	}
 }
 
+// refCollisions is the shared-RNG reference loop for the collision
+// observables: every walker steps through one rng.Source, and walkers that
+// have once shared a vertex merge into one class. It returns the first
+// meeting round and the round the classes collapse to one (-1 if not
+// reached within maxRounds). It shares no code with the engine's
+// observers, which is what makes it a statistical oracle.
+func refCollisions(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (meet, coal int64) {
+	k := len(starts)
+	class := make([]int, k)
+	for i := range class {
+		class[i] = i
+	}
+	groups := k
+	meet, coal = -1, -1
+	pos := slices.Clone(starts)
+	for t := int64(0); t <= maxRounds && coal < 0; t++ {
+		if t > 0 {
+			for i, p := range pos {
+				nb := g.Neighbors(p)
+				pos[i] = nb[r.Intn(len(nb))]
+			}
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < i; j++ {
+				if pos[i] != pos[j] {
+					continue
+				}
+				if meet < 0 {
+					meet = t
+				}
+				if ci, cj := class[i], class[j]; ci != cj {
+					for w := range class {
+						if class[w] == ci {
+							class[w] = cj
+						}
+					}
+					if groups--; groups == 1 {
+						coal = t
+					}
+				}
+			}
+		}
+	}
+	return meet, coal
+}
+
 // TestMeetingMatchesLegacyStats cross-validates the engine's meeting time
-// against the legacy shared-RNG loop statistically.
+// against the shared-RNG reference loop statistically.
 func TestMeetingMatchesLegacyStats(t *testing.T) {
 	g := graph.MargulisExpander(6)
 	starts := []int32{0, 17, 30}
@@ -213,15 +260,15 @@ func TestMeetingMatchesLegacyStats(t *testing.T) {
 			t.Fatal("engine meeting truncated")
 		}
 		engSamples[i] = float64(res.Rounds)
-		steps, met := KMeetingFromVertices(g, starts, rng.NewStream(900, uint64(i)), 1<<20)
-		if !met {
-			t.Fatal("legacy meeting truncated")
+		steps, _ := refCollisions(g, starts, rng.NewStream(900, uint64(i)), 1<<20)
+		if steps < 0 {
+			t.Fatal("reference meeting truncated")
 		}
 		legSamples[i] = float64(steps)
 	}
 	es, ls := stats.Summarize(engSamples), stats.Summarize(legSamples)
 	if diff := math.Abs(es.Mean - ls.Mean); diff > es.CI95()+ls.CI95() {
-		t.Fatalf("engine meeting %v±%v vs legacy %v±%v", es.Mean, es.CI95(), ls.Mean, ls.CI95())
+		t.Fatalf("engine meeting %v±%v vs reference %v±%v", es.Mean, es.CI95(), ls.Mean, ls.CI95())
 	}
 }
 
@@ -246,18 +293,18 @@ func TestCoalescenceMatchesLegacyStats(t *testing.T) {
 			t.Fatalf("first meeting %d outside [0, %d]", res.FirstMeeting, res.Rounds)
 		}
 		engSamples[i] = float64(res.Rounds)
-		coal, meet, ok := KCoalescenceFromVertices(g, starts, rng.NewStream(901, uint64(i)), 1<<22)
-		if !ok {
-			t.Fatal("legacy coalescence truncated")
+		meet, coal := refCollisions(g, starts, rng.NewStream(901, uint64(i)), 1<<22)
+		if coal < 0 {
+			t.Fatal("reference coalescence truncated")
 		}
 		if meet < 0 || meet > coal {
-			t.Fatalf("legacy first meeting %d outside [0, %d]", meet, coal)
+			t.Fatalf("reference first meeting %d outside [0, %d]", meet, coal)
 		}
 		legSamples[i] = float64(coal)
 	}
 	es, ls := stats.Summarize(engSamples), stats.Summarize(legSamples)
 	if diff := math.Abs(es.Mean - ls.Mean); diff > es.CI95()+ls.CI95() {
-		t.Fatalf("engine coalescence %v±%v vs legacy %v±%v", es.Mean, es.CI95(), ls.Mean, ls.CI95())
+		t.Fatalf("engine coalescence %v±%v vs reference %v±%v", es.Mean, es.CI95(), ls.Mean, ls.CI95())
 	}
 }
 
@@ -346,7 +393,7 @@ func TestCoalescenceEqualsMeetingForK2(t *testing.T) {
 }
 
 // TestKHitTargetsCrossChecks pins the multi-target observer against the
-// two legacy views of the same process: per-target first-hit rounds equal
+// two other views of the same process: per-target first-hit rounds equal
 // the first-visit rounds of those vertices, and a single-target run equals
 // KHit exactly.
 func TestKHitTargetsCrossChecks(t *testing.T) {
@@ -540,26 +587,5 @@ func TestRunToHorizon(t *testing.T) {
 		if f != want[v] {
 			t.Fatalf("first[%d] = %d != %d", v, f, want[v])
 		}
-	}
-}
-
-// TestLegacyMeetingLoopAgreesWithMeetingTimeFrom sanity-checks the k=2
-// legacy loop against the original two-walker reference.
-func TestLegacyMeetingLoopAgreesWithMeetingTimeFrom(t *testing.T) {
-	g := graph.Complete(9, false)
-	const trials = 3000
-	a := make([]float64, trials)
-	b := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		s1, ok1 := KMeetingFromVertices(g, []int32{0, 5}, rng.NewStream(77, uint64(i)), 1<<20)
-		s2, ok2 := MeetingTimeFrom(g, 0, 5, rng.NewStream(78, uint64(i)), 1<<20)
-		if !ok1 || !ok2 {
-			t.Fatal("truncated")
-		}
-		a[i], b[i] = float64(s1), float64(s2)
-	}
-	as, bs := stats.Summarize(a), stats.Summarize(b)
-	if math.Abs(as.Mean-bs.Mean) > as.CI95()+bs.CI95() {
-		t.Fatalf("k-loop %v±%v vs pair loop %v±%v", as.Mean, as.CI95(), bs.Mean, bs.CI95())
 	}
 }

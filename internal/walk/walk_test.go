@@ -9,29 +9,39 @@ import (
 	"manywalks/internal/rng"
 )
 
+// enginePaths runs walkers from starts for length rounds under kern and
+// returns every walker's trajectory, round-0 placement included.
+func enginePaths(t *testing.T, g *graph.Graph, kern Kernel, starts []int32, seed uint64, length int) [][]int32 {
+	t.Helper()
+	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: kern})
+	po := NewPathObserver(length)
+	if _, err := eng.Run(RunSpec{Starts: starts, Seed: seed, MaxRounds: int64(length), Stop: RunToHorizon()}, po); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([][]int32, len(starts))
+	for i := range paths {
+		paths[i] = po.Path(i)
+	}
+	return paths
+}
+
 func TestWalkerStaysOnEdges(t *testing.T) {
 	g := graph.Lollipop(6, 4)
-	r := rng.New(1)
-	w := NewWalker(g, 0, r)
-	prev := w.Pos()
-	for i := 0; i < 10000; i++ {
-		next := w.Step()
-		if !g.HasEdge(prev, next) {
-			t.Fatalf("illegal move %d -> %d", prev, next)
+	path := enginePaths(t, g, nil, []int32{0}, 1, 10000)[0]
+	for i := 1; i < len(path); i++ {
+		if !g.HasEdge(path[i-1], path[i]) {
+			t.Fatalf("illegal move %d -> %d", path[i-1], path[i])
 		}
-		prev = next
 	}
 }
 
 func TestWalkerUniformNeighborChoice(t *testing.T) {
 	// From the star center every leaf must be chosen ≈ uniformly.
 	g := graph.Star(5)
-	r := rng.New(2)
-	counts := make(map[int32]int)
 	const trials = 40000
-	for i := 0; i < trials; i++ {
-		w := NewWalker(g, 0, r)
-		counts[w.Step()]++
+	counts := make(map[int32]int)
+	for _, path := range enginePaths(t, g, nil, make([]int32, trials), 2, 1) {
+		counts[path[1]]++
 	}
 	for leaf := int32(1); leaf < 5; leaf++ {
 		frac := float64(counts[leaf]) / trials
@@ -47,7 +57,7 @@ func TestNewWalkerPanicsOutOfRange(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewWalker(graph.Cycle(3), 3, rng.New(1))
+	NewEngine(graph.Cycle(3), EngineOptions{}).KCoverFrom(3, 1, 1, 10)
 }
 
 func TestCoverFromAlreadyCovered(t *testing.T) {
@@ -55,7 +65,7 @@ func TestCoverFromAlreadyCovered(t *testing.T) {
 	// so check the 0-step path: complete graph covered after n-1 visits is
 	// not 0, but a K2 from either endpoint covers in exactly 1 step.
 	g := graph.Complete(2, false)
-	res := CoverFrom(g, 0, rng.New(3), 100)
+	res := NewEngine(g, EngineOptions{}).KCoverFrom(0, 1, 3, 100)
 	if !res.Covered || res.Steps != 1 {
 		t.Fatalf("K2 cover %+v", res)
 	}
@@ -141,8 +151,11 @@ func TestHittingMatchesExact(t *testing.T) {
 }
 
 func TestHitFromSelf(t *testing.T) {
-	steps, hit := HitFrom(graph.Cycle(5), 2, 2, rng.New(1), 10)
-	if steps != 0 || !hit {
+	g := graph.Cycle(5)
+	marked := make([]bool, g.N())
+	marked[2] = true
+	res := NewEngine(g, EngineOptions{}).KHitFrom(2, 1, marked, 1, 10)
+	if res.Rounds != 0 || !res.Hit {
 		t.Fatal("self hit should be 0")
 	}
 }
@@ -221,12 +234,14 @@ func TestDisconnectedRejected(t *testing.T) {
 func TestVisitCountsApproachStationary(t *testing.T) {
 	// Long-run occupancy ∝ degree. Star(5): center π = 1/2, leaves 1/8.
 	g := graph.Star(5)
-	counts := VisitCounts(g, 0, rng.New(7), 200000)
-	total := int64(0)
-	for _, c := range counts {
-		total += c
+	path := enginePaths(t, g, nil, []int32{0}, 7, 200000)[0]
+	center := 0
+	for _, v := range path {
+		if v == 0 {
+			center++
+		}
 	}
-	centerFrac := float64(counts[0]) / float64(total)
+	centerFrac := float64(center) / float64(len(path))
 	if math.Abs(centerFrac-0.5) > 0.02 {
 		t.Fatalf("center occupancy %.3f, want ≈0.5", centerFrac)
 	}
@@ -234,7 +249,8 @@ func TestVisitCountsApproachStationary(t *testing.T) {
 
 func TestFirstVisitTimes(t *testing.T) {
 	g := graph.Path(6)
-	fv := FirstVisitTimes(g, 0, rng.New(9), 1<<20)
+	eng := NewEngine(g, EngineOptions{})
+	fv := eng.KFirstVisits([]int32{0}, 9, 1<<20)
 	if fv[0] != 0 {
 		t.Fatal("start first-visit must be 0")
 	}
@@ -246,7 +262,7 @@ func TestFirstVisitTimes(t *testing.T) {
 		}
 	}
 	// A zero-length horizon leaves everything but the start unvisited.
-	fv0 := FirstVisitTimes(g, 2, rng.New(9), 0)
+	fv0 := eng.KFirstVisits([]int32{2}, 9, 0)
 	for i, v := range fv0 {
 		if i == 2 && v != 0 {
 			t.Fatal("start mismatch")
@@ -279,7 +295,7 @@ func TestKCoverFromVerticesDistinctStarts(t *testing.T) {
 	// Walkers planted at every vertex cover instantly.
 	g := graph.Cycle(6)
 	starts := []int32{0, 1, 2, 3, 4, 5}
-	res := KCoverFromVertices(g, starts, rng.New(4), 100)
+	res := NewEngine(g, EngineOptions{}).KCover(starts, 4, 100)
 	if !res.Covered || res.Steps != 0 {
 		t.Fatalf("full placement should cover at t=0: %+v", res)
 	}
