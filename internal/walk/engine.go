@@ -58,9 +58,12 @@ import (
 // performance. Kernel selects the step law (and so the simulated process);
 // its zero value is the paper's uniform walk.
 type EngineOptions struct {
-	// Workers caps the goroutines stepping walker shards concurrently.
-	// 0 or negative selects runtime.NumCPU(). A run never uses more than
-	// one worker per minShardWalkers walkers, so small k stays sequential.
+	// Workers caps the goroutines stepping walker shards (Run) or trial
+	// lane shards (RunGrouped) concurrently. 0 or negative selects
+	// runtime.GOMAXPROCS(0), the same default as MCOptions.Workers, so a
+	// process limited to fewer Ps than cores never oversubscribes them. A
+	// Run never uses more than one worker per minShardWalkers walkers, so
+	// small k stays sequential.
 	Workers int
 	// BatchRounds is the number of rounds advanced between merge barriers,
 	// rounded up to a whole number of draw groups (the rounds one 64-bit
@@ -70,7 +73,9 @@ type EngineOptions struct {
 	// runs, 16 for single-worker runs, whose merges are cheap and whose
 	// overshoot past the stop round is pure waste. Larger batches
 	// amortize the barrier but overshoot further; results are unaffected
-	// either way.
+	// either way. RunGrouped's generic lane shards have no barrier and
+	// always use the single-worker batch, which sets how often a shard
+	// retires its stopped lanes.
 	BatchRounds int
 	// Kernel is the step law the engine compiles (see kernel.go). The
 	// zero value is Uniform(). Every kernel keeps the engine's
@@ -112,8 +117,8 @@ type Engine struct {
 	group    int           // rounds funded by one 64-bit draw; batches span whole groups
 	prog     kernelProgram // compiled step law: alias tables, lazy threshold, prev-lane flag
 	workers  int
-	batch    int // rounds per barrier for sharded (multi-worker) runs
-	seqBatch int // rounds per merge for single-worker runs (overshoot is pure waste there)
+	batch    int // rounds per barrier for sharded (multi-worker) Run calls
+	seqBatch int // rounds per merge for single-worker Run calls, and per retirement scan of a grouped lane shard
 	g        *graph.Graph
 	kernel   Kernel
 	pool     sync.Pool // *runState, reused across runs to cut allocation churn
@@ -142,7 +147,7 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	batch := opts.BatchRounds
 	seqBatch := batch

@@ -208,3 +208,52 @@ func BenchmarkEstimateHittingTime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGroupedGeneric times one 32-trial grouped pass — the adaptive
+// estimators' default wave width — on the generic (non-fused) path, the
+// one behind k=1 and k=4 covers, hitting times and every non-uniform
+// kernel: a k=1 cover of cycle:256 and a k=1 hit of vertex 300 from 0 on
+// the Table-1 expander, at one and two lane-shard workers. Per-trial
+// samples are identical at both; the w2 row only measures whether the
+// second worker pays.
+func BenchmarkGroupedGeneric(b *testing.B) {
+	expander := graph.MargulisExpander(24)
+	marked := make([]bool, expander.N())
+	marked[300] = true
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		obs  func() GroupObserver
+	}{
+		{"cycle256_k1_cover", graph.Cycle(256), func() GroupObserver { return NewGroupCoverObserver(0) }},
+		{"margulis_hit", expander, func() GroupObserver { return NewGroupHitObserver(marked) }},
+	}
+	for _, c := range cases {
+		eng := NewEngine(c.g, EngineOptions{})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(b *testing.B) {
+				obs := c.obs()
+				var res GroupedResult
+				for i := 0; i < b.N; i++ {
+					err := eng.RunGroupedInto(GroupedRunSpec{
+						Trials: defaultWave, Starts: []int32{0}, Seed: uint64(i), MaxRounds: 1 << 24, Workers: workers,
+					}, &res, obs)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCompileDenseKernel times compiling the power-law hopper's dense
+// alias bank on cycle:1024 (about a million columns) — the set-up every
+// hopper estimate pays, since each estimator call builds its own engine.
+func BenchmarkCompileDenseKernel(b *testing.B) {
+	g := graph.Cycle(1024)
+	kern := HopperPower(1)
+	for i := 0; i < b.N; i++ {
+		NewEngine(g, EngineOptions{Kernel: kern})
+	}
+}

@@ -22,27 +22,30 @@ import (
 //	like Engine.Run. Every per-trial sample is therefore bit-for-bit
 //	equal to the sequential MonteCarlo + Engine.Run output.
 //
-// Trials are independent, so lanes never interact: each lane is scanned by
-// the worker that owns it, all bookkeeping is lane-private, and a lane's
-// outcome cannot depend on Workers or batch partitioning. When a lane's
-// stop condition has fired by a merge barrier the lane *retires*: its
-// result is recorded and the position/stream/reservoir/observer lanes
-// swap-compact (the last active lane moves into its slot), so the heavy
-// tail of slow trials never drags the width of the pass — cover times are
-// heavy-tailed, and without compaction fusion would lose its win stepping
-// finished trials to the horizon.
+// Trials are independent, so lanes never interact: each chunk splits its
+// lanes into one contiguous shard per worker, and every worker drives its
+// shard to completion with no barrier in between — it steps, scans,
+// retires and censors only its own lanes, so a lane's outcome cannot
+// depend on Workers or on how the shards are scheduled. When a lane's
+// stop condition has fired it *retires*: its result is recorded and the
+// position/stream/reservoir/observer lanes swap-compact against the
+// shard's last live lane, so the heavy tail of slow trials never drags
+// the width of the shard — cover times are heavy-tailed, and without
+// compaction fusion would lose its win stepping finished trials to the
+// horizon.
 //
-// Two step paths drive the lanes. The uniform kernel on a padded graph
+// Two shard bodies drive the lanes. The uniform kernel on a padded graph
 // runs the fused two-step loop of groupedfused.go (pair transition table,
-// block-generated draws, inline first-visit scan). Everything else — the
-// non-uniform kernels, CSR-mode graphs, and the hit/collision observers —
-// runs the generic path below: the engine's own stepRound over the whole
-// active width, with per-round lane scans. Both paths produce identical
-// per-trial results; TestFusedMatchesSequentialTrials pins them against
-// the sequential engine across a Workers × BatchRounds grid. Any budget
-// runs here: cover lanes keep their uint32 first-visit cells relative to a
-// per-lane epoch base (see coverEpochSpan), and every other lane state
-// holds int64 rounds.
+// block-generated draws, inline first-visit scan), one lane at a time.
+// Everything else — the non-uniform kernels, CSR-mode graphs, and the
+// hit/collision observers — runs the generic body below: the engine's own
+// stepRound over the shard's live lanes, round-major, with per-round lane
+// scans. Both produce identical per-trial results;
+// TestFusedMatchesSequentialTrials pins them against the sequential
+// engine across a Workers × BatchRounds grid. Any budget runs here: cover
+// lanes keep their uint32 first-visit cells relative to a per-lane epoch
+// base (see coverEpochSpan), and every other lane state holds int64
+// rounds.
 
 // GroupedRunSpec describes Trials independent k-walk runs of one shape.
 type GroupedRunSpec struct {
@@ -122,7 +125,8 @@ type GroupObserver interface {
 	// -1. Monotone per lane.
 	laneSatisfied(ln int) int64
 	// finishLane records lane ln's terminal state into trial-indexed
-	// storage at retirement (single-threaded, at a barrier).
+	// storage at retirement. It runs on the worker owning the lane, so it
+	// may write only lane- and trial-indexed state.
 	finishLane(ln, trial int, rounds int64, stopped bool)
 	// moveLane relocates lane src's state onto slot dst during compaction
 	// (slot indirections swap; no lane content is copied).
@@ -137,10 +141,21 @@ type neverSatisfiable interface {
 }
 
 // epochRebaser is implemented by observers whose lane state holds rounds
-// relative to an epoch base; the generic driver lets them rebase at every
-// batch barrier, so no per-round scan pays for it.
+// relative to an epoch base; the generic shard lets worker w rebase its
+// live lanes [loLane, hiLane) before every batch of rounds (t0, t0+b], so
+// no per-round scan pays for it.
 type epochRebaser interface {
-	rebase(gs *groupState, t0, b int64)
+	rebase(w, loLane, hiLane int, t0, b int64)
+}
+
+// workerWord is one worker's private int64 on a cache line of its own.
+// Lane shards run concurrently for a whole chunk, and per-worker words
+// packed side by side (or next to another hot object) would bounce their
+// line between cores every round: an unpadded cover epoch cost the
+// two-worker generic pass its whole gain.
+type workerWord struct {
+	v int64
+	_ [56]byte
 }
 
 // laneCelled is implemented by observers whose per-lane state scales with
@@ -207,11 +222,11 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// retireLane compacts lane ln out of the active set: the last active
-// lane's walker state moves into its slot. The retired lane's walker state
-// is dead — its result is already recorded.
-func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
-	last := gst.lanes - 1
+// retireLane compacts lane ln out of the live lanes ending at last: lane
+// last's walker state moves into its slot. The retired lane's walker state
+// is dead — its result is already recorded. Callers own every lane in
+// [ln, last], so shards compact concurrently.
+func (gst *groupState) retireLane(ln, last int, obs []GroupObserver) {
 	if ln != last {
 		k := gst.laneK
 		d, s := ln*k, last*k
@@ -226,7 +241,6 @@ func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
 			o.moveLane(ln, last)
 		}
 	}
-	gst.lanes--
 }
 
 // groupChunkLanes bounds the number of concurrent lanes so the fused pass
@@ -425,10 +439,12 @@ func stopRoundAll(obs []GroupObserver, ln int) int64 {
 	return r
 }
 
-// retireSatisfied records and compacts every active lane whose stop
-// condition has fired (single-threaded; called at barriers).
-func retireSatisfied(gst *groupState, obs []GroupObserver, res *GroupedResult) {
-	for ln := 0; ln < gst.lanes; {
+// retireSatisfied records and compacts every lane of [loLane, hiLane)
+// whose stop condition has fired, returning the new end of the live
+// lanes. The caller owns the range: the chunk before its shards spawn
+// (the round-0 pass), or afterwards the worker whose shard it is.
+func retireSatisfied(gst *groupState, obs []GroupObserver, res *GroupedResult, loLane, hiLane int) int {
+	for ln := loLane; ln < hiLane; {
 		s := stopRoundAll(obs, ln)
 		if s < 0 {
 			ln++
@@ -440,14 +456,28 @@ func retireSatisfied(gst *groupState, obs []GroupObserver, res *GroupedResult) {
 		for _, o := range obs {
 			o.finishLane(ln, trial, s, true)
 		}
-		gst.retireLane(ln, obs)
+		hiLane--
+		gst.retireLane(ln, hiLane, obs)
+	}
+	return hiLane
+}
+
+// censorLanes records lanes [loLane, hiLane) as having exhausted the
+// budget maxRounds.
+func censorLanes(gst *groupState, obs []GroupObserver, res *GroupedResult, maxRounds int64, loLane, hiLane int) {
+	for ln := loLane; ln < hiLane; ln++ {
+		trial := int(gst.laneTrial[ln])
+		res.Rounds[trial] = maxRounds
+		res.Stopped[trial] = false
+		for _, o := range obs {
+			o.finishLane(ln, trial, maxRounds, false)
+		}
 	}
 }
 
 // runGroupedChunk drives trials [c0, c0+m) to completion.
 func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, obs []GroupObserver, res *GroupedResult, c0, m int) error {
 	k := gst.laneK
-	gst.lanes = m
 	gst.k = m * k
 	for ln := 0; ln < m; ln++ {
 		if err := e.seedLane(gst, spec, ln, c0+ln); err != nil {
@@ -457,38 +487,24 @@ func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, obs []Gr
 			o.startLane(ln, c0+ln, gst.pos[ln*k:(ln+1)*k])
 		}
 	}
-	retireSatisfied(gst, obs, res)
-
+	gst.lanes = retireSatisfied(gst, obs, res, 0, m)
+	if gst.lanes == 0 {
+		return nil
+	}
 	// If any observer can prove it will never be satisfied (a hit observer
 	// with an empty marked set), no lane can ever stop: mirror the
 	// sequential runHit short-circuit and censor everything without
 	// stepping the budget down.
-	hopeless := false
 	for _, o := range obs {
 		if ns, ok := o.(neverSatisfiable); ok && ns.neverSatisfied() {
-			hopeless = true
-			break
+			censorLanes(gst, obs, res, spec.MaxRounds, 0, gst.lanes)
+			gst.lanes = 0
+			return nil
 		}
 	}
-
-	if gst.lanes > 0 && !hopeless {
-		if fused := e.fusedCoverObserver(k, obs); fused != nil {
-			e.runGroupedFusedCover(gst, spec, fused, res)
-		} else {
-			e.runGroupedGeneric(gst, spec, obs, res)
-		}
-	}
-
-	// Budget exhausted: the trials still active are censored at MaxRounds.
-	for ln := 0; ln < gst.lanes; ln++ {
-		trial := int(gst.laneTrial[ln])
-		res.Rounds[trial] = spec.MaxRounds
-		res.Stopped[trial] = false
-		for _, o := range obs {
-			o.finishLane(ln, trial, spec.MaxRounds, false)
-		}
-	}
-	gst.lanes = 0
+	// The budget and worker count travel by value: handing spec itself to
+	// the shard goroutines would move every caller's spec to the heap.
+	e.runShards(gst, obs, e.fusedCoverObserver(k, obs), res, spec.MaxRounds, spec.Workers)
 	return nil
 }
 
@@ -504,79 +520,86 @@ func laneShardSpan(lanes, workers, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// runGroupedGeneric is the kernel-agnostic grouped driver: every batch,
-// each worker advances its lane range round-major through the engine's
-// stepRound and hands each fresh round to the observers' lane scans; the
-// barrier retires satisfied lanes and compacts. Batches span whole draw
-// groups, so compaction never splits a reservoir. Shards are spawned as
-// direct method calls — not closures — so a barrier costs the runtime's
-// goroutine wrappers and nothing else, and the Workers=1 path performs no
-// allocation at all.
-func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, obs []GroupObserver, res *GroupedResult) {
-	// Multicore passes step the engine's full parallel batch between
-	// barriers to amortize spawn cost; the singleton path keeps the shorter
-	// sequential batch (better early-stop granularity). Batch size only
-	// moves the barriers — per-trial outcomes are invariant, pinned by the
-	// BatchRounds grids in TestFusedMatchesSequentialTrials and
-	// TestGroupedDeterministicAcrossWorkers.
-	batch := e.seqBatch
-	if spec.Workers > 1 {
-		batch = e.batch
-	}
-	for t0 := int64(0); gst.lanes > 0 && t0 < spec.MaxRounds; {
-		b := batch
-		if int64(b) > spec.MaxRounds-t0 {
-			b = int(spec.MaxRounds - t0)
+// runShards drives the chunk's live lanes to completion. Each worker owns
+// one contiguous lane shard for the lanes' whole lives and runs it to the
+// end with no barrier, so a worker whose lanes finish early never waits on
+// another's. Shards are spawned as direct method calls — not closures —
+// so a multicore chunk costs exactly one goroutine per worker, and a
+// one-worker pass runs on the calling goroutine and allocates nothing.
+// (Running worker 0 on the caller instead measured slower on small fused
+// passes: the last goroutine spawned waits in the caller's run-next slot,
+// which an idle core steals from only after a delay.) fused selects the
+// fused cover body (nil: the generic one).
+func (e *Engine) runShards(gst *groupState, obs []GroupObserver, fused *GroupCoverObserver, res *GroupedResult, maxRounds int64, workers int) {
+	workers = min(workers, gst.lanes)
+	if workers <= 1 {
+		e.runShard(gst, obs, fused, res, maxRounds, 0, 0, gst.lanes)
+	} else {
+		for w := 0; w < workers; w++ {
+			lo, hi := laneShardSpan(gst.lanes, workers, w)
+			if lo == hi {
+				continue
+			}
+			gst.wg.Add(1)
+			go e.runShardAsync(gst, obs, fused, res, maxRounds, w, lo, hi)
 		}
+		gst.wg.Wait()
+	}
+	gst.lanes = 0
+}
+
+// runShard is worker w's whole share of a chunk: it advances lanes
+// [loLane, hiLane) until each has stopped or reached maxRounds, retires
+// the stopped ones and censors the rest. It touches only its lane range,
+// worker w's observer scratch and its own lanes' trial slots, so
+// concurrent shards never share mutable state, and a lane's draws depend
+// only on its own streams: results are identical however lanes are
+// partitioned.
+func (e *Engine) runShard(gst *groupState, obs []GroupObserver, fused *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, loLane, hiLane int) {
+	if fused != nil {
+		e.fusedCoverShard(gst, fused, maxRounds, loLane, hiLane)
+		hiLane = retireSatisfied(gst, obs, res, loLane, hiLane)
+	} else {
+		hiLane = e.genericShard(gst, obs, res, maxRounds, w, loLane, hiLane)
+	}
+	censorLanes(gst, obs, res, maxRounds, loLane, hiLane)
+}
+
+// runShardAsync is runShard plus the join, the form the multicore spawn
+// uses.
+func (e *Engine) runShardAsync(gst *groupState, obs []GroupObserver, fused *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, loLane, hiLane int) {
+	defer gst.wg.Done()
+	e.runShard(gst, obs, fused, res, maxRounds, w, loLane, hiLane)
+}
+
+// genericShard is the kernel-agnostic shard body: it advances lanes
+// [loLane, hiLane) round-major through the engine's stepRound in batches
+// of seqBatch rounds, handing each fresh round to the observers' lane
+// scans, and after each batch retires its satisfied lanes, compacting
+// against its own last live lane. It returns the end of the lanes still
+// live at the budget. Batches span whole draw groups, so compaction never
+// splits a reservoir; batch size only moves the retirement points —
+// per-trial outcomes are invariant, pinned by the BatchRounds grids in
+// TestFusedMatchesSequentialTrials and TestGroupedDeterministicAcrossWorkers.
+func (e *Engine) genericShard(gst *groupState, obs []GroupObserver, res *GroupedResult, maxRounds int64, w, loLane, hiLane int) int {
+	k := gst.laneK
+	batch := int64(e.seqBatch)
+	for t0 := int64(0); loLane < hiLane && t0 < maxRounds; t0 += batch {
+		b := min(batch, maxRounds-t0)
 		for _, o := range obs {
 			if r, ok := o.(epochRebaser); ok {
-				r.rebase(gst, t0, int64(b))
+				r.rebase(w, loLane, hiLane, t0, b)
 			}
 		}
-		workers := spec.Workers
-		if workers > gst.lanes {
-			workers = gst.lanes
-		}
-		if workers <= 1 {
-			e.genericShard(gst, obs, b, t0, 0, 0, gst.lanes)
-		} else {
-			for w := 0; w < workers; w++ {
-				lo, hi := laneShardSpan(gst.lanes, workers, w)
-				if lo == hi {
-					continue
-				}
-				gst.wg.Add(1)
-				go e.genericShardAsync(gst, obs, b, t0, w, lo, hi)
+		for t := t0 + 1; t <= t0+b; t++ {
+			e.stepRound(&gst.runState, loLane*k, hiLane*k, t)
+			for _, o := range obs {
+				o.scanRound(gst, loLane, hiLane, w, t)
 			}
-			gst.wg.Wait()
 		}
-		t0 += int64(b)
-		retireSatisfied(gst, obs, res)
+		hiLane = retireSatisfied(gst, obs, res, loLane, hiLane)
 	}
-}
-
-// genericShard advances lanes [loLane, hiLane) through rounds
-// (t0, t0+b], handing each fresh round to the observers' lane scans; w
-// selects the worker-private observer scratch. It touches only its lane
-// range and worker scratch, so concurrent shards never share mutable
-// state.
-func (e *Engine) genericShard(gst *groupState, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
-	k := gst.laneK
-	lo, hi := loLane*k, hiLane*k
-	for j := 0; j < b; j++ {
-		t := t0 + int64(j) + 1
-		e.stepRound(&gst.runState, lo, hi, t)
-		for _, o := range obs {
-			o.scanRound(gst, loLane, hiLane, w, t)
-		}
-	}
-}
-
-// genericShardAsync is genericShard plus the barrier arrival, the form the
-// multicore spawn uses.
-func (e *Engine) genericShardAsync(gst *groupState, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
-	defer gst.wg.Done()
-	e.genericShard(gst, obs, b, t0, w, loLane, hiLane)
+	return hiLane
 }
 
 // ---------------------------------------------------------------------------
@@ -623,10 +646,12 @@ type GroupCoverObserver struct {
 	counts  []int32  // per slot: distinct vertices visited
 	done    []int64  // per slot: satisfaction round, -1 while running
 	base    []int64  // per slot: epoch base the first-visit cells are relative to
-	// epoch is the generic path's shared base: its lanes start together and
-	// step in lockstep, so every active lane's base equals it, and the
-	// per-round scan subtracts it once instead of per lane.
-	epoch int64
+	// epoch is the generic path's per-worker base: a shard's lanes start
+	// together and step in lockstep, so every live lane of worker w's
+	// shard has base epoch[w], and the per-round scan subtracts it once
+	// instead of per lane. Shards advance independently, so the bases
+	// differ between workers.
+	epoch []workerWord
 
 	outCount []int32   // per trial
 	outFirst [][]int64 // per trial, when RecordFirst
@@ -669,6 +694,7 @@ func (o *GroupCoverObserver) bindGroup(e *Engine, trials, lanes, k, workers int)
 	for i := range o.laneOff {
 		o.laneOff[i] = int32(i)
 	}
+	o.epoch = growSlice(o.epoch, workers)
 	// Per-trial outputs reuse capacity across binds: finishLane overwrites
 	// every trial's slot exactly once per run, so no clearing is needed and
 	// a rebinding observer (the serving layer's pooled arenas) allocates
@@ -702,7 +728,7 @@ func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
 	}
 	o.counts[s] = count
 	o.done[s] = -1
-	o.base[s], o.epoch = 0, 0 // a chunk's lanes all start at round 0
+	o.base[s] = 0
 	if int(count) >= o.target {
 		o.done[s] = 0
 	}
@@ -724,25 +750,29 @@ func (o *GroupCoverObserver) rebaseLane(s int32, t int64) {
 	o.base[s] = t
 }
 
-// rebase is the generic path's epoch hook, called single-threaded at every
-// batch barrier before rounds (t0, t0+b] step: if the batch would leave
-// the shared epoch, every active lane rebases to t0.
-func (o *GroupCoverObserver) rebase(gs *groupState, t0, b int64) {
-	if t0+b-o.epoch <= coverEpochSpan {
+// rebase is the generic path's epoch hook, called by worker w before its
+// shard's live lanes [loLane, hiLane) step rounds (t0, t0+b]: a chunk's
+// lanes all start at base 0, and if the batch would leave the shard's
+// epoch, every live lane of the shard rebases to t0.
+func (o *GroupCoverObserver) rebase(w, loLane, hiLane int, t0, b int64) {
+	if t0 == 0 {
+		o.epoch[w].v = 0
+	}
+	if t0+b-o.epoch[w].v <= coverEpochSpan {
 		return
 	}
-	for ln := 0; ln < gs.lanes; ln++ {
+	for ln := loLane; ln < hiLane; ln++ {
 		o.rebaseLane(o.laneOff[ln], t0)
 	}
-	o.epoch = t0
+	o.epoch[w].v = t0
 }
 
 // scanRound is the generic-path lane scan: exact first-visit recording in
 // round order. The fused path of groupedfused.go writes the same lanes
 // through its inline min-update scan instead.
-func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t int64) {
+func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, w int, t int64) {
 	k := gs.laneK
-	tt := uint32(t - o.epoch)
+	tt := uint32(t - o.epoch[w].v)
 	for ln := loLane; ln < hiLane; ln++ {
 		s := o.laneOff[ln]
 		if o.done[s] >= 0 {
@@ -758,7 +788,7 @@ func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t 
 		}
 		o.counts[s] = count
 		if int(count) >= o.target {
-			o.done[s] = o.epoch + int64(tt) // == t; keeps t out of the loop's registers
+			o.done[s] = o.epoch[w].v + int64(tt) // == t; keeps t out of the loop's registers
 		}
 	}
 }
@@ -942,9 +972,9 @@ type GroupCollisionObserver struct {
 	coalR  []int64
 	done   []int64
 
-	stamp  [][]int64 // per worker: vertex -> token of last occupancy
-	stampW [][]int32 // per worker: first walker on the vertex that token
-	token  []int64   // per worker: monotone scan counter
+	stamp  [][]int64    // per worker: vertex -> token of last occupancy
+	stampW [][]int32    // per worker: first walker on the vertex that token
+	token  []workerWord // per worker: monotone scan counter
 
 	outMeet   []int64
 	outCoal   []int64
@@ -986,7 +1016,7 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 	if cap(o.stamp) < workers {
 		o.stamp = make([][]int64, workers)
 		o.stampW = make([][]int32, workers)
-		o.token = make([]int64, workers)
+		o.token = make([]workerWord, workers)
 	}
 	o.stamp, o.stampW, o.token = o.stamp[:workers], o.stampW[:workers], o.token[:workers]
 	for w := range o.stamp {
@@ -999,7 +1029,7 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 		for i := range o.stamp[w] {
 			o.stamp[w][i] = -1
 		}
-		o.token[w] = 0
+		o.token[w].v = 0
 	}
 	o.outMeet = growSlice(o.outMeet, trials)
 	o.outCoal = growSlice(o.outCoal, trials)
@@ -1025,8 +1055,8 @@ func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
 // in walker order (the singleton's merge order).
 func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int64) {
 	stamp, stampW := o.stamp[w], o.stampW[w]
-	o.token[w]++
-	tok := o.token[w]
+	o.token[w].v++
+	tok := o.token[w].v
 	parent := o.parent[s*o.k : (s+1)*o.k]
 	for i, v := range pos {
 		if stamp[v] != tok {

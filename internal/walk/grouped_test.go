@@ -595,6 +595,9 @@ func TestGroupedCoverCrossesEpochs(t *testing.T) {
 		{"generic", Uniform(), 3},
 		{"lazy", Lazy(0.5), 3},
 		{"hopper", hopper, 3},
+		// 2048 walkers a lane: 8 lanes a chunk, so the 12 trials run in two
+		// chunks and the second must restart every shard's epoch.
+		{"generic-chunked", Lazy(0.5), 2048},
 	}
 	const trials, seed = 12, 31
 	for _, span := range []int64{5, 100} {
@@ -604,7 +607,7 @@ func TestGroupedCoverCrossesEpochs(t *testing.T) {
 			starts := commonStarts(0, c.k)
 			for _, target := range []int{0, 40} {
 				for _, budget := range []int64{1 << 16, 300} {
-					for _, workers := range []int{1, 2} {
+					for _, workers := range []int{1, 2, 3} {
 						name := fmt.Sprintf("span%d/%s/target%d/budget%d/w%d", span, c.name, target, budget, workers)
 						cov := NewGroupCoverObserver(target)
 						got, err := eng.RunGrouped(GroupedRunSpec{

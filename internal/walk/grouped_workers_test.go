@@ -140,4 +140,128 @@ func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+
+	// Shard-local retirement: each worker steps, retires and censors its
+	// own lane shard, so these shapes make the shards diverge — uneven
+	// spans, lanes retired at round 0 before the spawn (compaction
+	// reorders the lanes the shards then own), a budget that censors the
+	// lanes of one shard only, passes split into several chunks (each
+	// chunk re-spawns its shards and restarts the cover epochs), and a
+	// two-observer StopWhenAll lane.
+	cyc := graph.Cycle(64)
+	near := make([]bool, cyc.N()) // marked neighbours of vertex 31
+	near[30], near[32] = true, true
+	sparse := make([]bool, cyc.N())
+	for v := 3; v < cyc.N(); v += 7 {
+		sparse[v] = true
+	}
+	// placeAt puts all of a trial's walkers on one vertex chosen per trial.
+	placeAt := func(at func(trial int) int32) func(int, []int32) {
+		return func(trial int, starts []int32) {
+			for i := range starts {
+				starts[i] = at(trial)
+			}
+		}
+	}
+	lazy := Lazy(0.5)
+	cases := []struct {
+		name   string
+		kern   Kernel
+		spec   GroupedRunSpec
+		kinds  []string
+		marked []bool
+		// chunked asserts the pass splits into several chunks.
+		chunked bool
+		check   func(t *testing.T, base groupedOutcome)
+	}{
+		{name: "uneven7/cover", kern: lazy, kinds: []string{"cover"},
+			spec: GroupedRunSpec{Trials: 7, Starts: commonStarts(5, 3), Seed: 11, MaxRounds: budget}},
+		{name: "uneven7/hit", kern: Uniform(), kinds: []string{"hit"}, marked: sparse,
+			spec: GroupedRunSpec{Trials: 7, Starts: commonStarts(5, 3), Seed: 11, MaxRounds: budget}},
+		{name: "round0", kern: Uniform(), kinds: []string{"hit"}, marked: near,
+			spec: GroupedRunSpec{Trials: 10, Starts: make([]int32, 3), Seed: 12, MaxRounds: budget,
+				StartsFor: placeAt(func(tr int) int32 { return [3]int32{30, 0, 5}[tr%3] })},
+			check: func(t *testing.T, base groupedOutcome) {
+				for tr := 0; tr < 10; tr += 3 {
+					if !base.stopped[tr] || base.rounds[tr] != 0 {
+						t.Fatalf("trial %d should stop at round 0, got (%d,%v)", tr, base.rounds[tr], base.stopped[tr])
+					}
+				}
+			}},
+		{name: "censor-one-shard", kern: Uniform(), kinds: []string{"hit"}, marked: near,
+			spec: GroupedRunSpec{Trials: 8, Starts: make([]int32, 3), Seed: 13, MaxRounds: 20,
+				StartsFor: placeAt(func(tr int) int32 { return [2]int32{31, 0}[tr/4] })},
+			check: func(t *testing.T, base groupedOutcome) {
+				for tr := 0; tr < 8; tr++ {
+					if want := tr < 4; base.stopped[tr] != want {
+						t.Fatalf("trial %d stopped %v, want %v (near lanes hit at round 1, far lanes are censored)", tr, base.stopped[tr], want)
+					}
+				}
+			}},
+		{name: "multichunk/cover", kern: lazy, kinds: []string{"cover"}, chunked: true,
+			spec: GroupedRunSpec{Trials: 20, Starts: commonStarts(0, 2048), Seed: 14, MaxRounds: budget}},
+		{name: "multichunk/hit", kern: Uniform(), kinds: []string{"hit"}, marked: sparse, chunked: true,
+			spec: GroupedRunSpec{Trials: 20, Starts: commonStarts(0, 2048), Seed: 14, MaxRounds: budget}},
+		{name: "cover+hit", kern: Uniform(), kinds: []string{"cover", "hit"}, marked: sparse,
+			spec: GroupedRunSpec{Trials: 18, Starts: commonStarts(0, 3), Seed: 15, MaxRounds: budget}},
+	}
+	for _, c := range cases {
+		if c.chunked && groupChunkLanes(c.spec.Trials, len(c.spec.Starts), 0) >= c.spec.Trials {
+			t.Fatalf("%s: expected the pass to split into several chunks", c.name)
+		}
+		eng := NewEngine(cyc, EngineOptions{Workers: 1, Kernel: c.kern})
+		c.spec.Workers = 1
+		want := runGroupedKinds(t, eng, c.spec, c.kinds, c.marked)
+		if c.check != nil {
+			c.check(t, want)
+		}
+		for _, workers := range testWorkerGrid() {
+			if workers == 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("shards/%s/w%d", c.name, workers), func(t *testing.T) {
+				spec := c.spec
+				spec.Workers = workers
+				if got := runGroupedKinds(t, eng, spec, c.kinds, c.marked); !got.equal(want) {
+					t.Fatalf("outcome diverged from Workers=1 baseline:\n got %+v\nwant %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// runGroupedKinds runs spec with one observer per kind ("cover" with
+// exact first-visit export, "hit" on marked) under StopWhenAll and
+// flattens every output.
+func runGroupedKinds(t *testing.T, eng *Engine, spec GroupedRunSpec, kinds []string, marked []bool) groupedOutcome {
+	t.Helper()
+	var obs []GroupObserver
+	for _, kind := range kinds {
+		switch kind {
+		case "cover":
+			cov := NewGroupCoverObserver(0)
+			cov.RecordFirst = true
+			obs = append(obs, cov)
+		case "hit":
+			obs = append(obs, NewGroupHitObserver(marked))
+		}
+	}
+	res, err := eng.RunGrouped(spec, obs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := groupedOutcome{rounds: res.Rounds, stopped: res.Stopped}
+	for i := 0; i < spec.Trials; i++ {
+		for _, o := range obs {
+			switch o := o.(type) {
+			case *GroupCoverObserver:
+				out.extra = append(out.extra, int64(o.TrialCount(i)))
+				out.extra = append(out.extra, o.TrialFirstVisits(i)...)
+			case *GroupHitObserver:
+				hr := o.TrialResult(i, res.Rounds[i])
+				out.extra = append(out.extra, int64(hr.Vertex), int64(hr.Walker))
+			}
+		}
+	}
+	return out
 }

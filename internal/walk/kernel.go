@@ -3,6 +3,7 @@ package walk
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"manywalks/internal/graph"
 )
@@ -311,12 +312,13 @@ func DenseTableFits(g *graph.Graph) error {
 func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
 	at := &aliasTable{meta: make([]uint64, n)}
+	var sc voseScratch
 	for v := 0; v < n; v++ {
 		outs, probs, err := k.TransitionProbs(g, int32(v))
 		if err != nil {
 			return nil, err
 		}
-		if err := appendAliasRow(at, v, outs, probs); err != nil {
+		if err := appendAliasRow(at, v, outs, probs, &sc); err != nil {
 			return nil, err
 		}
 	}
@@ -326,11 +328,20 @@ func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 // buildAliasBank compiles a dense-support kernel into the same alias layout
 // with running memory accounting: compilation stops with a descriptive
 // error the moment the bank would cross maxDenseKernelBytes, instead of
-// allocating n² columns first and failing later.
+// allocating n² columns first and failing later. The columns are reserved
+// up front — n-1 per vertex at most, and never more than the budget the
+// bank is accounted against — so rows append without regrowing the table.
 func buildAliasBank(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
-	at := &aliasTable{meta: make([]uint64, n)}
 	budget := maxDenseKernelBytes - int64(n)*8
+	reserve := min(int64(n)*int64(n-1), budget/aliasColumnBytes)
+	at := &aliasTable{
+		meta:   make([]uint64, n),
+		out:    make([]int32, 0, reserve),
+		alt:    make([]int32, 0, reserve),
+		thresh: make([]uint32, 0, reserve),
+	}
+	var sc voseScratch
 	for v := 0; v < n; v++ {
 		outs, probs, err := k.TransitionProbs(g, int32(v))
 		if err != nil {
@@ -340,39 +351,46 @@ func buildAliasBank(g *graph.Graph, k Kernel) (*aliasTable, error) {
 			return nil, fmt.Errorf("walk: kernel %s row-bank exceeds the %d MiB cap at vertex %d of %d (%d columns so far)",
 				k, maxDenseKernelBytes>>20, v, n, len(at.out))
 		}
-		if err := appendAliasRow(at, v, outs, probs); err != nil {
+		if err := appendAliasRow(at, v, outs, probs, &sc); err != nil {
 			return nil, err
 		}
 	}
 	return at, nil
 }
 
-// appendAliasRow runs Vose's construction for one vertex's row and appends
-// its columns, guarding the uint32 offset packing.
-func appendAliasRow(at *aliasTable, v int, outs []int32, probs []float64) error {
+// appendAliasRow runs Vose's construction for one vertex's row straight
+// into the table's tail, guarding the uint32 offset packing.
+func appendAliasRow(at *aliasTable, v int, outs []int32, probs []float64, sc *voseScratch) error {
 	off := len(at.out)
 	cols := len(outs)
 	if int64(off) > math.MaxUint32 {
 		return fmt.Errorf("walk: alias table offset overflows uint32 at vertex %d", v)
 	}
 	at.meta[v] = uint64(uint32(off))<<32 | uint64(uint32(cols))
-	colOut, colAlt, colThresh := voseColumns(outs, probs)
-	at.out = append(at.out, colOut...)
-	at.alt = append(at.alt, colAlt...)
-	at.thresh = append(at.thresh, colThresh...)
+	end := off + cols
+	at.out = slices.Grow(at.out, cols)[:end]
+	at.alt = slices.Grow(at.alt, cols)[:end]
+	at.thresh = slices.Grow(at.thresh, cols)[:end]
+	voseColumns(at.out[off:end], at.alt[off:end], at.thresh[off:end], outs, probs, sc)
 	return nil
+}
+
+// voseScratch is Vose's per-row working set, reused across the rows of one
+// compile.
+type voseScratch struct {
+	scaled       []float64
+	small, large []int
 }
 
 // voseColumns runs Vose's alias construction for one vertex: K = len(outs)
 // columns, each holding a primary outcome, an alias outcome, and the 32-bit
-// acceptance threshold for the primary.
-func voseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint32) {
+// acceptance threshold for the primary, written into out, alt and thresh
+// (len K each).
+func voseColumns(out, alt []int32, thresh []uint32, outs []int32, probs []float64, sc *voseScratch) {
 	k := len(outs)
-	out = make([]int32, k)
-	alt = make([]int32, k)
-	thresh = make([]uint32, k)
-	scaled := make([]float64, k)
-	var small, large []int
+	sc.scaled = growSlice(sc.scaled, k)
+	scaled := sc.scaled
+	small, large := sc.small[:0], sc.large[:0]
 	for i, p := range probs {
 		scaled[i] = p * float64(k)
 		if scaled[i] < 1 {
@@ -381,16 +399,15 @@ func voseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint
 			large = append(large, i)
 		}
 	}
-	for i := range out {
-		out[i] = outs[i]
-		alt[i] = outs[i]
+	copy(out, outs)
+	copy(alt, outs)
+	for i := range thresh {
 		thresh[i] = math.MaxUint32
 	}
 	for len(small) > 0 && len(large) > 0 {
 		s := small[len(small)-1]
 		l := large[len(large)-1]
 		small = small[:len(small)-1]
-		out[s] = outs[s]
 		alt[s] = outs[l]
 		thresh[s] = quantize32(scaled[s])
 		scaled[l] -= 1 - scaled[s]
@@ -401,18 +418,20 @@ func voseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint
 	}
 	// Leftover columns (numerical residue) keep probability 1 of their own
 	// outcome: out == alt, threshold saturated.
-	return out, alt, thresh
+	sc.small, sc.large = small, large
 }
 
 // quantize32 maps a probability in [0,1] to the 32-bit acceptance threshold
 // used by the alias sampler. Probabilities within rounding distance of 1
 // saturate (Round(p·2³²) can reach 2³², which would wrap uint32 to 0).
+// Scaling by a power of two is exact, so p·2³² carries no rounding of its
+// own.
 func quantize32(p float64) uint32 {
 	if p <= 0 {
 		return 0
 	}
-	t := math.Round(math.Ldexp(p, 32))
-	if t >= math.Ldexp(1, 32) {
+	t := math.Round(p * (1 << 32))
+	if t >= 1<<32 {
 		return math.MaxUint32
 	}
 	return uint32(t)

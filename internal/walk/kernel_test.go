@@ -505,3 +505,107 @@ func TestUnregisteredKernelRejected(t *testing.T) {
 		}
 	}
 }
+
+// refVoseColumns is the per-row alias compiler as first written — fresh
+// slices for every row, an Ldexp quantizer — kept as the oracle that
+// TestAliasCompileMatchesReference pins the table-tail compiler against.
+func refVoseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint32) {
+	k := len(outs)
+	out = make([]int32, k)
+	alt = make([]int32, k)
+	thresh = make([]uint32, k)
+	scaled := make([]float64, k)
+	var small, large []int
+	for i, p := range probs {
+		scaled[i] = p * float64(k)
+		if scaled[i] < 1 {
+			small = append(small, i)
+		} else {
+			large = append(large, i)
+		}
+	}
+	for i := range out {
+		out[i] = outs[i]
+		alt[i] = outs[i]
+		thresh[i] = math.MaxUint32
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		l := large[len(large)-1]
+		small = small[:len(small)-1]
+		out[s] = outs[s]
+		alt[s] = outs[l]
+		thresh[s] = refQuantize32(scaled[s])
+		scaled[l] -= 1 - scaled[s]
+		if scaled[l] < 1 {
+			large = large[:len(large)-1]
+			small = append(small, l)
+		}
+	}
+	return out, alt, thresh
+}
+
+func refQuantize32(p float64) uint32 {
+	if p <= 0 {
+		return 0
+	}
+	t := math.Round(math.Ldexp(p, 32))
+	if t >= math.Ldexp(1, 32) {
+		return math.MaxUint32
+	}
+	return uint32(t)
+}
+
+// TestAliasCompileMatchesReference: every registered family's example
+// kernel, compiled the way compileKernel routes it (sparse table, or the
+// pre-reserved dense bank), must produce tables bit-identical — meta, out,
+// alt, thresh — to a row-by-row build through refVoseColumns, on cycle,
+// expander and barbell graphs. Compiled tables fix every alias draw, so
+// this is what keeps the faster compiler from moving any estimate.
+func TestAliasCompileMatchesReference(t *testing.T) {
+	for _, p := range []float64{0, 5e-324, 1e-300, 0x1p-33, 0x1p-32, 0.5, 1 - 0x1p-33, 1 - 0x1p-53, 1} {
+		if got, want := quantize32(p), refQuantize32(p); got != want {
+			t.Fatalf("quantize32(%g) = %d, reference %d", p, got, want)
+		}
+	}
+	barbell, _ := graph.Barbell(33)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"cycle64", graph.Cycle(64)},
+		{"margulis36w", graph.Reweight(graph.MargulisExpander(6), kernelTestWeights)},
+		{"barbell33", barbell},
+	}
+	for _, gc := range graphs {
+		n := gc.g.N()
+		for _, kern := range Kernels() {
+			t.Run(gc.name+"/"+kern.String(), func(t *testing.T) {
+				want := &aliasTable{meta: make([]uint64, n)}
+				for v := 0; v < n; v++ {
+					outs, probs, err := kern.TransitionProbs(gc.g, int32(v))
+					if err != nil {
+						t.Skipf("no vertex-chain rows: %v", err)
+					}
+					want.meta[v] = uint64(uint32(len(want.out)))<<32 | uint64(uint32(len(outs)))
+					out, alt, thresh := refVoseColumns(outs, probs)
+					want.out = append(want.out, out...)
+					want.alt = append(want.alt, alt...)
+					want.thresh = append(want.thresh, thresh...)
+				}
+				build := buildAliasTable
+				if kern.Support() == SupportDense {
+					build = buildAliasBank
+				}
+				got, err := build(gc.g, kern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.meta, want.meta) || !slices.Equal(got.out, want.out) ||
+					!slices.Equal(got.alt, want.alt) || !slices.Equal(got.thresh, want.thresh) {
+					t.Fatalf("compiled table differs from the reference build (%d vs %d columns)", len(got.out), len(want.out))
+				}
+			})
+		}
+	}
+}
